@@ -17,6 +17,10 @@
 //     footprints reported alongside (`ref: "dense"` cells).
 //   * Simulator events per second (one arrival + one completion = two
 //     events) for single-server FCFS and two-server Split runs.
+//   * Stream-merge ingest at 64, 256 and 1024 Poisson sources: requests per
+//     second pulled through one stream::MergedStream, against the same
+//     sources pulled round-robin with no merge — the generators' own cost,
+//     so the merge/source ratio cancels the machine's speed.
 //
 // The run aborts if the lazy-allocation contract breaks: an idle
 // IndexedMinHeap reset to 10^6 ids must hold zero bytes, and at the
@@ -35,6 +39,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,6 +52,8 @@
 #include "fq/wf2q.h"
 #include "fq/wfq.h"
 #include "sim/simulator.h"
+#include "stream/gen_stream.h"
+#include "stream/stream.h"
 #include "trace/generator.h"
 #include "util/indexed_heap.h"
 
@@ -253,6 +260,81 @@ double best_sim_events_per_sec(const MicroOptions& o, RunOnce run) {
   return best;
 }
 
+// ---------------------------------------------------------------------------
+// Stream-merge ingest: `sources` Poisson tenants sharing --ops requests over
+// one minute of virtual time.  Stream construction is untimed; the timed
+// loop is the pull itself, generation included — the ingest rate a
+// many-tenant simulate_sharded run sees.
+
+constexpr int kMergeSources[3] = {64, 256, 1'024};
+constexpr Time kMergeDuration = 60 * kUsPerSec;
+
+struct MergeCell {
+  double merge_req_per_sec = 0;   ///< best repeat
+  double source_req_per_sec = 0;  ///< best repeat
+  double ratio = 0;  ///< median over repeats of the paired merge/source ratio
+};
+
+std::vector<std::unique_ptr<stream::RequestStream>> poisson_sources(
+    int sources, std::uint64_t ops) {
+  const double rate = static_cast<double>(ops) /
+                      (sources * static_cast<double>(kMergeDuration) /
+                       static_cast<double>(kUsPerSec));
+  std::vector<std::unique_ptr<stream::RequestStream>> out;
+  for (int c = 0; c < sources; ++c)
+    out.push_back(stream::make_poisson_stream(rate, kMergeDuration,
+                                              1'000 + static_cast<unsigned>(c)));
+  return out;
+}
+
+// Each repeat times the merge and then its reference back to back, and the
+// gated ratio is the median of those paired ratios: the host's speed drifts
+// in phases longer than one pair, which a ratio of two independent bests
+// does not cancel.
+MergeCell best_merge_rates(int sources, const MicroOptions& o) {
+  MergeCell best;
+  std::vector<double> ratios;
+  for (int r = 0; r < o.repeats; ++r) {
+    stream::MergedStream merged(poisson_sources(sources, o.ops));
+    std::uint64_t n = 0, sink = 0;
+    double t0 = now_seconds();
+    while (auto req = merged.next()) {
+      ++n;
+      sink += req->client;
+    }
+    const double merge_rate = static_cast<double>(n) / (now_seconds() - t0);
+
+    // Reference: the same sources pulled round-robin with no ordering —
+    // the same interleaved touch of every generator's state, minus the
+    // merge itself.
+    auto alone = poisson_sources(sources, o.ops);
+    std::uint64_t m = 0;
+    t0 = now_seconds();
+    for (std::size_t live = alone.size(); live > 0;) {
+      live = 0;
+      for (auto& s : alone) {
+        if (!s) continue;
+        if (auto req = s->next()) {
+          ++m;
+          sink += req->lba;
+          ++live;
+        } else {
+          s.reset();
+        }
+      }
+    }
+    const double source_rate = static_cast<double>(m) / (now_seconds() - t0);
+    g_sink = g_sink ^ sink;
+
+    best.merge_req_per_sec = std::max(best.merge_req_per_sec, merge_rate);
+    best.source_req_per_sec = std::max(best.source_req_per_sec, source_rate);
+    ratios.push_back(merge_rate / source_rate);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  best.ratio = ratios[ratios.size() / 2];
+  return best;
+}
+
 void json_fq_cell(std::FILE* f, int flows, const FqCell& c, bool last) {
   std::fprintf(f,
                "    \"flows_%d\": {\"heap_ops_per_sec\": %.0f, "
@@ -384,6 +466,10 @@ int main(int argc, char** argv) {
         g_sink ^ simulate(sim_trace(), split, servers).completions.size();
   });
 
+  MergeCell merge[3];
+  for (int mi = 0; mi < 3; ++mi)
+    merge[mi] = best_merge_rates(kMergeSources[mi], options);
+
   // Human-readable table on stdout.
   std::printf("%-8s %8s %14s %14s %8s\n", "backend", "flows", "heap ops/s",
               "scan ops/s", "speedup");
@@ -408,6 +494,12 @@ int main(int argc, char** argv) {
   }
   std::printf("simulator fcfs  %14.0f events/s\n", fcfs_events);
   std::printf("simulator split %14.0f events/s\n", split_events);
+  std::printf("\n%-8s %14s %14s %8s\n", "sources", "merge req/s",
+              "source req/s", "ratio");
+  for (int mi = 0; mi < 3; ++mi)
+    std::printf("%-8d %14.0f %14.0f %7.2fx\n", kMergeSources[mi],
+                merge[mi].merge_req_per_sec, merge[mi].source_req_per_sec,
+                merge[mi].ratio);
 
   if (!check_memory_contracts(sparse)) return 1;
 
@@ -434,8 +526,17 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  },\n");
   std::fprintf(f,
                "  \"simulator\": {\"fcfs_events_per_sec\": %.0f, "
-               "\"split_events_per_sec\": %.0f}\n",
+               "\"split_events_per_sec\": %.0f},\n",
                fcfs_events, split_events);
+  std::fprintf(f, "  \"stream_merge\": {\n");
+  for (int mi = 0; mi < 3; ++mi)
+    std::fprintf(f,
+                 "    \"sources_%d\": {\"merge_req_per_sec\": %.0f, "
+                 "\"source_req_per_sec\": %.0f, \"ratio\": %.3f}%s\n",
+                 kMergeSources[mi], merge[mi].merge_req_per_sec,
+                 merge[mi].source_req_per_sec, merge[mi].ratio,
+                 mi == 2 ? "" : ",");
+  std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::fprintf(stderr, "micro_algorithms: wrote %s\n",

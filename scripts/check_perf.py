@@ -32,6 +32,12 @@ measurement but absent from the baseline fails with an explicit
 "regenerate the baseline" message rather than being silently skipped (or
 dying with a KeyError on the schema difference).
 
+The stream-merge cells (64/256/1024 Poisson sources) gate the ratio of
+MergedStream's ingest rate to the same sources pulled round-robin without
+a merge (the generators' own cost) — the median of per-repeat paired
+ratios — at the same tolerance; a cell missing from either side fails.
+Raw req/s are printed, not gated.
+
 --online (BENCH_online.json, bench/online_loadgen): the gated quantity is
 each (policy, mode) cell's *normalized* throughput — admission decisions
 per second divided by the harness's in-process calibration rate (a loop of
@@ -95,10 +101,62 @@ usage: check_perf.py BASELINE CURRENT [--online | --chaos | --stream]
 
 import argparse
 import json
+import os
 import sys
 
 FLOOR_KEY = "flows_256"
 FLAT_FLOOR_KEY = "flows_1048576"
+
+
+def gate_cells(prefix, base_cells, cur_cells, key, tolerance,
+               gated=lambda base_value: True):
+    """Compare one group of micro cells on `key` against the baseline.
+
+    Returns (failures, rows).  failures names every cell present on one
+    side only: a cell measured but absent from the baseline cannot be gated,
+    so it fails loudly instead of being skipped (or KeyError-ing on an old
+    schema), forcing a baseline regen.  rows holds (cell, base, cur,
+    problems) for each cell on both sides, problems listing a regression of
+    more than `tolerance` below the baseline value when gated(base value).
+    """
+    failures = []
+    for cell in cur_cells:
+        if cell not in base_cells:
+            failures.append(
+                f"{prefix}/{cell}: measured but missing from the "
+                f"baseline — regenerate bench/BENCH_micro.baseline.json "
+                f"(see README 'Perf baseline')")
+    rows = []
+    for cell, base in base_cells.items():
+        cur = cur_cells.get(cell)
+        if cur is None:
+            failures.append(f"{prefix}/{cell}: missing from current")
+            continue
+        allowed = (1.0 - tolerance) * base[key]
+        problems = []
+        if gated(base[key]) and cur[key] < allowed:
+            problems.append(
+                f"{key} {cur[key]:.3f} < {allowed:.3f} "
+                f"(>{tolerance:.0%} regression from {base[key]:.3f})")
+        rows.append((cell, base, cur, problems))
+    return failures, rows
+
+
+def check_stream_merge(baseline, current, tolerance):
+    """Gate the micro harness's stream-merge cells on their merge/source
+    ratio (merged ingest req/s over the same sources pulled unmerged)."""
+    print(f"\n{'stream merge':<13} {'base':>8} {'now':>8} "
+          f"{'merge req/s':>14}  status")
+    failures, rows = gate_cells("stream_merge",
+                                baseline.get("stream_merge", {}),
+                                current.get("stream_merge", {}),
+                                "ratio", tolerance)
+    for cell, base, cur, problems in rows:
+        print(f"{cell:<13} {base['ratio']:>8.3f} {cur['ratio']:>8.3f} "
+              f"{cur['merge_req_per_sec']:>14.0f}  "
+              f"{'FAIL' if problems else 'ok'}")
+        failures.extend(f"stream_merge/{cell}: {p}" for p in problems)
+    return failures
 
 
 def check_online(baseline, current, tolerance, min_normalized):
@@ -297,6 +355,11 @@ def main() -> int:
         args.tolerance = (0.02 if args.chaos else
                           0.50 if args.online else 0.25)
 
+    for kind, path in (("baseline", args.baseline),
+                       ("current", args.current)):
+        if not os.path.isfile(path):
+            print(f"{kind} file missing: {path}", file=sys.stderr)
+            return 1
     with open(args.baseline) as f:
         baseline = json.load(f)
     with open(args.current) as f:
@@ -335,6 +398,8 @@ def main() -> int:
         return 0
 
     failures = []
+    # Cells whose baseline speedup is below 1x are informational.
+    speedup_gated = lambda base_speedup: base_speedup >= 1.0  # noqa: E731
     print(f"{'backend':<8} {'flows':>13} {'base':>8} {'now':>8} "
           f"{'prod ops/s':>14}  status")
     for backend, base_cells in baseline["schedulers"].items():
@@ -342,34 +407,18 @@ def main() -> int:
         if cur_cells is None:
             failures.append(f"{backend}: missing from current results")
             continue
-        # A measured cell the baseline has never seen cannot be gated: fail
-        # loudly instead of silently skipping it (or KeyError-ing on the
-        # old schema), so adding a bench point forces a baseline regen.
-        for cell in cur_cells:
-            if cell not in base_cells:
-                failures.append(
-                    f"{backend}/{cell}: measured but missing from the "
-                    f"baseline — regenerate bench/BENCH_micro.baseline.json "
-                    f"(see README 'Perf baseline')")
-        for cell, base in base_cells.items():
-            cur = cur_cells.get(cell)
-            if cur is None:
-                failures.append(f"{backend}/{cell}: missing from current")
-                continue
+        missing, rows = gate_cells(backend, base_cells, cur_cells,
+                                   "speedup", args.tolerance,
+                                   gated=speedup_gated)
+        failures.extend(missing)
+        for cell, base, cur, problems in rows:
             base_speedup = base["speedup"]
             cur_speedup = cur["speedup"]
             # Dense-vector reference cells report prod_ops_per_sec; the
             # scan-reference cells predate that name.
             cur_ops = cur.get("heap_ops_per_sec",
                               cur.get("prod_ops_per_sec", 0.0))
-            allowed = (1.0 - args.tolerance) * base_speedup
-            gated = base_speedup >= 1.0
-            problems = []
-            if gated and cur_speedup < allowed:
-                problems.append(
-                    f"speedup {cur_speedup:.2f} < {allowed:.2f} "
-                    f"(>{args.tolerance:.0%} regression from "
-                    f"{base_speedup:.2f})")
+            gated = speedup_gated(base_speedup)
             if cell == FLOOR_KEY and cur_speedup < args.min_speedup:
                 problems.append(
                     f"speedup {cur_speedup:.2f} below the "
@@ -387,6 +436,8 @@ def main() -> int:
                   f"{status}")
             for p in problems:
                 failures.append(f"{backend}/{cell}: {p}")
+
+    failures.extend(check_stream_merge(baseline, current, args.tolerance))
 
     base_sim = baseline.get("simulator", {})
     cur_sim = current.get("simulator", {})

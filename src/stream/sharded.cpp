@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/sharded_sink.h"
@@ -40,7 +39,6 @@ ShardedStats simulate_sharded(
 
   ThreadPool pool(options.shards);
   std::vector<std::unique_ptr<Lane>> lanes;  ///< kept sorted by tenant id
-  std::unordered_map<std::uint32_t, Lane*> by_tenant;
 
   // Per-lane buffered sinks, canonically merged to options.sink at every
   // barrier flush (obs/sharded_sink.h).  Lane buffers are each written by
@@ -51,8 +49,15 @@ ShardedStats simulate_sharded(
     event_merge.emplace(options.sink, options.overlap_drain);
 
   auto lane_for = [&](std::uint32_t tenant) -> Lane& {
-    if (auto it = by_tenant.find(tenant); it != by_tenant.end())
-      return *it->second;
+    // Tenant ids are whatever Request::client carries (an SPC ASU is a
+    // full uint32), so lanes are found by binary search of the sorted list
+    // rather than by a table sized to the largest id.
+    const auto at = std::lower_bound(
+        lanes.begin(), lanes.end(), tenant,
+        [](const std::unique_ptr<Lane>& l, std::uint32_t t) {
+          return l->tenant < t;
+        });
+    if (at != lanes.end() && (*at)->tenant == tenant) return **at;
     auto lane = std::make_unique<Lane>();
     lane->tenant = tenant;
     lane->sim = factory(tenant);
@@ -73,11 +78,7 @@ ShardedStats simulate_sharded(
     lane->engine = std::make_unique<SimEngine>(*lane->sim.scheduler,
                                                lane->servers, lane_sink);
     Lane& ref = *lane;
-    by_tenant.emplace(tenant, &ref);
-    lanes.insert(std::lower_bound(lanes.begin(), lanes.end(), tenant,
-                                  [](const std::unique_ptr<Lane>& l,
-                                     std::uint32_t t) { return l->tenant < t; }),
-                 std::move(lane));
+    lanes.insert(at, std::move(lane));
     return ref;
   };
 

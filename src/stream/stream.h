@@ -17,7 +17,8 @@
 //
 // Sources live in gen_stream.h (synthetic generators) and spc_stream.h (SPC
 // trace files); this header holds the abstraction plus the composable
-// adapters that need nothing beyond a Trace and the hash library.
+// adapters that need nothing beyond a Trace, the hash library and the
+// indexed heap.
 #pragma once
 
 #include <memory>
@@ -28,6 +29,7 @@
 #include "runner/hash.h"
 #include "trace/trace.h"
 #include "util/check.h"
+#include "util/indexed_heap.h"
 
 namespace qos::stream {
 
@@ -66,27 +68,34 @@ class TraceStream final : public RequestStream {
 /// ties resolve to the lowest source index, then to within-source order —
 /// exactly the order Trace::merge's concatenate-then-stable-sort produces —
 /// so merging streams and streaming a merged Trace are interchangeable.
+///
+/// Live sources sit in an IndexedMinHeap keyed on their buffered front's
+/// arrival with the source index as id: its (key, lowest id) order is the
+/// lowest-source tie rule, so each request costs O(log sources), not a scan
+/// of every source.
 class MergedStream final : public RequestStream {
  public:
   explicit MergedStream(std::vector<std::unique_ptr<RequestStream>> sources)
       : sources_(std::move(sources)), fronts_(sources_.size()) {
-    for (std::size_t c = 0; c < sources_.size(); ++c)
+    live_.reset(static_cast<int>(sources_.size()));
+    for (std::size_t c = 0; c < sources_.size(); ++c) {
       fronts_[c] = sources_[c]->next();
+      if (fronts_[c]) live_.push(static_cast<int>(c), fronts_[c]->arrival);
+    }
   }
 
   std::optional<Request> next() override {
-    std::size_t best = fronts_.size();
-    for (std::size_t c = 0; c < fronts_.size(); ++c) {
-      if (!fronts_[c]) continue;
-      if (best == fronts_.size() ||
-          fronts_[c]->arrival < fronts_[best]->arrival) {
-        best = c;
-      }
+    if (live_.empty()) return std::nullopt;
+    const int best = live_.top();
+    const auto c = static_cast<std::size_t>(best);
+    Request r = *fronts_[c];
+    fronts_[c] = sources_[c]->next();
+    if (fronts_[c]) {
+      QOS_CHECK(fronts_[c]->arrival >= r.arrival);
+      live_.update(best, fronts_[c]->arrival);
+    } else {
+      live_.pop();
     }
-    if (best == fronts_.size()) return std::nullopt;
-    Request r = *fronts_[best];
-    fronts_[best] = sources_[best]->next();
-    QOS_CHECK(!fronts_[best] || fronts_[best]->arrival >= r.arrival);
     r.client = static_cast<std::uint32_t>(best);
     r.seq = seq_++;
     return r;
@@ -95,6 +104,7 @@ class MergedStream final : public RequestStream {
  private:
   std::vector<std::unique_ptr<RequestStream>> sources_;
   std::vector<std::optional<Request>> fronts_;  ///< buffered head per source
+  IndexedMinHeap<Time> live_;  ///< sources with a front, by (arrival, index)
   std::uint64_t seq_ = 0;
 };
 

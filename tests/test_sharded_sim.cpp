@@ -171,6 +171,50 @@ TEST(ShardStats, CountsAndInvariants) {
   EXPECT_EQ(stats.requests, Trace::merge(parts).size());
 }
 
+TEST(ShardLanes, SparseAndHugeTenantIdsMatchDenseRelabeling) {
+  // Tenant ids are whatever Request::client carries (an SPC ASU is a full
+  // uint32).  Dense and sparse ids must give the same run: relabel the
+  // three preset tenants to ids far apart, up to the largest uint32, and
+  // compare with the 0..2 run once the client ids are mapped back.
+  const std::uint32_t ids[] = {5, 3'000'000, 0xFFFFFFFFu};
+  auto dense = tenant_stream();
+  SimResult expected = simulate_sharded(*dense, build_tenant,
+                                        ShardedOptions{.shards = 2});
+
+  std::vector<Request> relabeled;
+  {
+    auto s = tenant_stream();
+    while (auto r = s->next()) {
+      r->client = ids[r->client];
+      relabeled.push_back(*r);
+    }
+  }
+  Trace sparse_trace(std::move(relabeled));
+  stream::TraceStream sparse(sparse_trace);
+  std::vector<std::uint32_t> built;
+  auto factory = [&](std::uint32_t client) {
+    built.push_back(client);
+    const auto* at = std::find(std::begin(ids), std::end(ids), client);
+    return build_tenant(static_cast<std::uint32_t>(at - std::begin(ids)));
+  };
+  SimResult got = simulate_sharded(sparse, factory,
+                                   ShardedOptions{.shards = 2});
+
+  std::vector<std::uint32_t> sorted_built = built;
+  std::sort(sorted_built.begin(), sorted_built.end());
+  EXPECT_EQ(sorted_built,
+            std::vector<std::uint32_t>(std::begin(ids), std::end(ids)))
+      << "one lane per tenant, each built once";
+  ASSERT_EQ(got.completions.size(), expected.completions.size());
+  for (std::size_t i = 0; i < got.completions.size(); ++i) {
+    CompletionRecord back = got.completions[i];
+    back.client = static_cast<std::uint32_t>(
+        std::find(std::begin(ids), std::end(ids), back.client) -
+        std::begin(ids));
+    ASSERT_EQ(back, expected.completions[i]) << "at " << i;
+  }
+}
+
 TEST(ShardStats, SingleTenantDegeneratesToStreamedRun) {
   // One tenant, one shard: sharding reduces to plain streaming; the
   // canonical merge must then be simulate()'s retire order untouched.

@@ -19,6 +19,7 @@
 #include "stream/stream_sim.h"
 #include "trace/presets.h"
 #include "trace/spc.h"
+#include "util/rng.h"
 
 namespace qos {
 namespace {
@@ -150,6 +151,87 @@ TEST(StreamMerge, MatchesTraceMerge) {
   sources.push_back(stream::make_poisson_stream(200, kShortRun, 3));
   stream::MergedStream s(std::move(sources));
   expect_same_sequence(merged, s);
+}
+
+// Differential check of MergedStream against Trace::merge on random,
+// tie-heavy inputs: arrivals are quantized to a coarse grid so many sources
+// share each instant, source lengths vary from empty to a few dozen so
+// sources run out at different times, and every request carries a distinct
+// lba so both the cross-source tie rule (lowest source first) and the
+// within-source order are checked request for request.
+std::vector<Trace> random_parts(std::size_t sources, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Trace> parts;
+  std::uint64_t lba = 0;
+  for (std::size_t c = 0; c < sources; ++c) {
+    const auto n = rng.uniform_int(0, 40);
+    const auto slots = rng.uniform_int(1, 25);  // distinct instants
+    std::vector<Request> reqs;
+    for (std::int64_t i = 0; i < n; ++i) {
+      reqs.push_back(Request{.arrival = rng.uniform_int(0, slots) * 1'000,
+                             .lba = lba++,
+                             .size_blocks = 8,
+                             .is_write = rng.next_double() < 0.3});
+    }
+    parts.emplace_back(std::move(reqs));
+  }
+  return parts;
+}
+
+void expect_merge_matches(const std::vector<Trace>& parts) {
+  std::vector<std::unique_ptr<RequestStream>> sources;
+  for (const Trace& t : parts)
+    sources.push_back(std::make_unique<stream::TraceStream>(t));
+  stream::MergedStream s(std::move(sources));
+  expect_same_sequence(Trace::merge(parts), s);
+}
+
+TEST(StreamMerge, RandomTieHeavyMatchesTraceMerge) {
+  for (std::size_t sources : {0u, 1u, 2u, 3u, 7u, 64u, 1024u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(testing::Message() << sources << " sources, seed " << seed);
+      expect_merge_matches(random_parts(sources, 1'000 * sources + seed));
+    }
+  }
+}
+
+TEST(StreamMerge, AllSourcesTieAtOneInstant) {
+  // 1024 sources, each with three requests at t = 0: the merged order must
+  // be source-major — a refilled source still ties at the same instant and
+  // still has the lowest index, so it drains before the next one starts.
+  std::vector<Trace> parts;
+  std::uint64_t lba = 0;
+  for (int c = 0; c < 1024; ++c) {
+    std::vector<Request> reqs(3);
+    for (auto& r : reqs) r = Request{.lba = lba++, .size_blocks = 1};
+    parts.emplace_back(std::move(reqs));
+  }
+  expect_merge_matches(parts);
+}
+
+TEST(StreamMerge, EmptySourcesAndStaggeredExhaustion) {
+  // Empty sources interleaved with ones that end early, late, and after a
+  // long silent gap; the exhausted-source path must keep the order intact
+  // and nullopt must stay sticky once everything has run out.
+  std::vector<Trace> parts;
+  parts.emplace_back();
+  parts.push_back(Trace(std::vector<Request>{
+      Request{.arrival = 0, .lba = 1, .size_blocks = 1},
+      Request{.arrival = 5, .lba = 2, .size_blocks = 1}}));
+  parts.emplace_back();
+  parts.push_back(Trace(std::vector<Request>{
+      Request{.arrival = 5, .lba = 3, .size_blocks = 1},
+      Request{.arrival = 1'000'000, .lba = 4, .size_blocks = 1}}));
+  parts.push_back(Trace(std::vector<Request>{
+      Request{.arrival = 5, .lba = 5, .size_blocks = 1}}));
+  parts.emplace_back();
+  expect_merge_matches(parts);
+
+  std::vector<std::unique_ptr<RequestStream>> none;
+  none.push_back(std::make_unique<stream::TraceStream>(Trace()));
+  stream::MergedStream empty(std::move(none));
+  EXPECT_FALSE(empty.next().has_value());
+  EXPECT_FALSE(empty.next().has_value());
 }
 
 TEST(StreamSim, CompletionsEventsAndDigestMatchMaterialized) {
