@@ -11,6 +11,9 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "trace/trace.h"
@@ -50,9 +53,28 @@ struct CapacityHint {
 };
 
 /// Fraction of `trace` that RTT admits to Q1 (and hence guarantees) at
-/// capacity `capacity_iops` with deadline `delta`.
+/// capacity `capacity_iops` with deadline `delta`.  Equals
+/// rtt_decompose(trace, capacity_iops, delta).admitted_fraction(), computed
+/// by the count-only replay below.
 double fraction_guaranteed(const Trace& trace, double capacity_iops,
                            Time delta);
+
+/// Count-only RTT replay, the kernel of every capacity probe: how many of
+/// `arrivals` (non-decreasing) RTT admits to Q1 at capacity `capacity_iops`
+/// with deadline `delta`, i.e. rtt_decompose(...).admitted without building
+/// the per-request Decomposition.  Returns std::nullopt as soon as more
+/// than `reject_budget` requests have been rejected, without reading the
+/// rest of the trace.
+std::optional<std::int64_t> rtt_admitted_count(
+    std::span<const Time> arrivals, double capacity_iops, Time delta,
+    std::int64_t reject_budget = std::numeric_limits<std::int64_t>::max());
+
+/// The least admitted count `a` in [0, n] for which
+/// double(a) / double(n) >= fraction — the exact integer form of the
+/// planner's `admitted_fraction() >= fraction` test, so a probe may stop
+/// once more than n - min_admitted_for(fraction, n) requests are rejected.
+/// Requires n > 0 and fraction in [0, 1].
+std::int64_t min_admitted_for(double fraction, std::int64_t n);
 
 /// Binary-search the least integer capacity whose guaranteed fraction is
 /// >= `fraction` (in [0, 1]).  `fraction == 1.0` demands zero overflow.

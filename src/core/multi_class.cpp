@@ -1,9 +1,6 @@
 #include "core/multi_class.h"
 
-#include <algorithm>
-
 #include "util/check.h"
-#include "util/service_timer.h"
 
 namespace qos {
 namespace {
@@ -24,44 +21,21 @@ MultiClassDecomposition multi_class_decompose(
   check_tiers(tiers);
   const std::size_t k = tiers.size();
 
-  // Per-tier dedicated-server replay state (same scheme as rtt_decompose).
-  struct TierState {
-    std::int64_t max_q1;
-    ServiceTimer timer;
-    std::vector<Time> finish;
-    std::size_t completed = 0;
-    Time last_finish = 0;
-  };
-  std::vector<TierState> state;
-  state.reserve(k);
+  // One dedicated-server replay per tier (the rtt_decompose step).
+  std::vector<RttReplay> replay;
+  replay.reserve(k);
   for (const auto& t : tiers)
-    state.push_back(TierState{max_q1_slots(t.capacity_iops, t.delta),
-                              ServiceTimer(t.capacity_iops),
-                              {},
-                              0,
-                              0});
+    replay.emplace_back(t.capacity_iops, t.delta, trace.size());
 
   MultiClassDecomposition out;
   out.tier.assign(trace.size(), static_cast<std::uint8_t>(k));
   out.counts.assign(k + 1, 0);
 
   for (const auto& r : trace) {
-    bool placed = false;
-    for (std::size_t i = 0; i < k && !placed; ++i) {
-      TierState& ts = state[i];
-      while (ts.completed < ts.finish.size() &&
-             ts.finish[ts.completed] <= r.arrival)
-        ++ts.completed;
-      const auto len =
-          static_cast<std::int64_t>(ts.finish.size() - ts.completed);
-      if (len < ts.max_q1) {
-        const Time start = std::max(r.arrival, ts.last_finish);
-        Time dur = ts.timer.next();
-        if (dur <= 0) dur = 1;
-        ts.last_finish = start + dur;
-        ts.finish.push_back(ts.last_finish);
+    for (std::size_t i = 0; i < k; ++i) {
+      if (replay[i].admit(r.arrival)) {
         out.tier[r.seq] = static_cast<std::uint8_t>(i);
-        placed = true;
+        break;
       }
     }
     ++out.counts[out.tier[r.seq]];

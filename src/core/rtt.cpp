@@ -1,9 +1,6 @@
 #include "core/rtt.h"
 
-#include <algorithm>
-
 #include "obs/metrics.h"
-#include "util/service_timer.h"
 
 namespace qos {
 
@@ -16,42 +13,26 @@ std::int64_t max_q1_slots(double capacity_iops, Time delta) {
 
 namespace {
 
-// The admission replay is the kernel of the capacity binary search, so the
-// unobserved instantiation must stay exactly the bare loop: the registry
-// hooks are compiled in (or out) rather than branch-tested per request.
+// The registry hooks are compiled in (or out) rather than branch-tested per
+// request, so the unobserved instantiation stays the bare replay loop.  The
+// capacity planner does not come through here: it needs only the admitted
+// count (see rtt_admitted_count in core/capacity.h).
 template <bool kObserved>
 Decomposition decompose_loop(const Trace& trace, double capacity_iops,
-                             std::int64_t max_q1, Counter* admitted,
-                             Counter* rejected, OccupancySeries* q1_occ) {
+                             Time delta, Counter* admitted, Counter* rejected,
+                             OccupancySeries* q1_occ) {
   Decomposition d;
   d.klass.assign(trace.size(), ServiceClass::kOverflow);
   d.q1_finish.assign(trace.size(), kTimeMax);
-
-  // Completion instants of admitted requests, in admission (FIFO) order.
-  std::vector<Time> finish;
-  finish.reserve(trace.size());
-  std::size_t completed = 0;  // admitted requests finished by current time
-
-  ServiceTimer timer(capacity_iops);
-  Time last_finish = 0;  // finish of the most recently admitted request
-
+  RttReplay replay(capacity_iops, delta, trace.size());
   for (const auto& r : trace) {
-    while (completed < finish.size() && finish[completed] <= r.arrival)
-      ++completed;
-    const std::int64_t len_q1 =
-        static_cast<std::int64_t>(finish.size() - completed);
-    if (len_q1 < max_q1) {
-      const Time start = std::max(r.arrival, last_finish);
-      Time dur = timer.next();
-      if (dur <= 0) dur = 1;
-      last_finish = start + dur;
-      finish.push_back(last_finish);
+    if (replay.admit(r.arrival)) {
       d.klass[r.seq] = ServiceClass::kPrimary;
-      d.q1_finish[r.seq] = last_finish;
+      d.q1_finish[r.seq] = replay.last_finish();
       ++d.admitted;
       if constexpr (kObserved) {
         admitted->add();
-        q1_occ->update(r.arrival, len_q1 + 1);
+        q1_occ->update(r.arrival, replay.pending());
       }
     } else {
       if constexpr (kObserved) rejected->add();
@@ -65,12 +46,11 @@ Decomposition decompose_loop(const Trace& trace, double capacity_iops,
 Decomposition rtt_decompose(const Trace& trace, double capacity_iops,
                             Time delta, MetricRegistry* registry) {
   QOS_EXPECTS(capacity_iops > 0 && delta >= 0);
-  const std::int64_t max_q1 = max_q1_slots(capacity_iops, delta);
   if (registry == nullptr) {
-    return decompose_loop<false>(trace, capacity_iops, max_q1, nullptr,
-                                 nullptr, nullptr);
+    return decompose_loop<false>(trace, capacity_iops, delta, nullptr, nullptr,
+                                 nullptr);
   }
-  return decompose_loop<true>(trace, capacity_iops, max_q1,
+  return decompose_loop<true>(trace, capacity_iops, delta,
                               &registry->counter("rtt.admitted"),
                               &registry->counter("rtt.rejected"),
                               &registry->occupancy("q1.occupancy"));

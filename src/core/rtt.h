@@ -9,20 +9,24 @@
 // set among all online or offline partitioners (Lemmas 1-3); tests verify
 // this against brute force and against the Lemma-1 lower bound.
 //
-// Two forms are provided:
+// Three forms are provided:
 //   * RttAdmission — the O(1) online admission test, embedded in the
 //     recombination schedulers where lenQ1 reflects live service;
-//   * rtt_decompose — analytic replay of RTT over a whole trace assuming a
-//     dedicated server of capacity C for Q1 (the model used for capacity
-//     planning, paper Section 2.2).
+//   * RttReplay — one step of the analytic replay, assuming a dedicated
+//     server of capacity C for Q1 (the model used for capacity planning,
+//     paper Section 2.2; core/capacity.h counts admissions with it);
+//   * rtt_decompose — that replay over a whole trace, keeping each
+//     request's class and Q1 finish time.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "sim/completion.h"
 #include "trace/trace.h"
 #include "util/check.h"
+#include "util/service_timer.h"
 #include "util/time.h"
 
 namespace qos {
@@ -54,6 +58,56 @@ class RttAdmission {
 
  private:
   std::int64_t max_q1_;
+};
+
+/// One step of the analytic RTT replay: a dedicated capacity-C server that
+/// drains its Q1 admissions in FIFO order.  Offer requests in arrival order;
+/// a request is admitted iff fewer than maxQ1 earlier admissions are still
+/// pending (finish > arrival).  Service slots come from one ServiceTimer
+/// (a zero-length slot is clamped to 1 us), so finishes strictly increase
+/// and the pending ones fit a ring of min(maxQ1, requests offered) slots.
+/// rtt_decompose, multi_class_decompose and the capacity planner's
+/// count-only probe all replay through this one step.
+class RttReplay {
+ public:
+  /// At most `max_requests` requests may be offered (it sizes the ring).
+  RttReplay(double capacity_iops, Time delta, std::size_t max_requests)
+      : max_q1_(max_q1_slots(capacity_iops, delta)),
+        timer_(capacity_iops),
+        ring_(static_cast<std::size_t>(std::min<std::int64_t>(
+            max_q1_, static_cast<std::int64_t>(max_requests)))) {}
+
+  /// Offer the next request; true iff RTT admits it to Q1, in which case
+  /// last_finish() is its completion instant.
+  bool admit(Time arrival) {
+    while (pending_ > 0 && ring_[head_] <= arrival) {
+      if (++head_ == ring_.size()) head_ = 0;
+      --pending_;
+    }
+    if (static_cast<std::int64_t>(pending_) >= max_q1_) return false;
+    const Time start = std::max(arrival, last_finish_);
+    Time dur = timer_.next();
+    if (dur <= 0) dur = 1;
+    last_finish_ = start + dur;
+    std::size_t tail = head_ + pending_;
+    if (tail >= ring_.size()) tail -= ring_.size();
+    ring_[tail] = last_finish_;
+    ++pending_;
+    return true;
+  }
+
+  /// Admitted requests not yet finished as of the last offer, including it.
+  std::int64_t pending() const { return static_cast<std::int64_t>(pending_); }
+  Time last_finish() const { return last_finish_; }
+  std::int64_t max_q1() const { return max_q1_; }
+
+ private:
+  std::int64_t max_q1_;
+  ServiceTimer timer_;
+  std::vector<Time> ring_;  ///< pending finishes, oldest at head_
+  std::size_t head_ = 0;
+  std::size_t pending_ = 0;
+  Time last_finish_ = 0;  ///< finish of the most recently admitted request
 };
 
 /// Result of analytically replaying RTT over a trace with a dedicated

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/rtt.h"
 #include "trace/generator.h"
+#include "util/rng.h"
 
 namespace qos {
 namespace {
@@ -207,6 +210,215 @@ TEST(MinCapacity, FullGuaranteeCoversWorstBurst) {
   const double c100 = min_capacity(t, 1.0, 10'000).cmin_iops;
   const double c90 = min_capacity(t, 0.9, 10'000).cmin_iops;
   EXPECT_GT(c100, 3 * c90);
+}
+
+// ---- count-only probes ----------------------------------------------------
+
+std::vector<Time> arrivals_of(const Trace& t) {
+  std::vector<Time> out;
+  for (const auto& r : t) out.push_back(r.arrival);
+  return out;
+}
+
+// Random bursts with tied arrivals: runs of 1-6 equal timestamps.
+Trace random_tied_trace(std::uint64_t seed, std::size_t n, Time max_gap) {
+  Rng rng(seed);
+  std::vector<Request> reqs;
+  Time t = 0;
+  while (reqs.size() < n) {
+    t += rng.uniform_int(0, max_gap);
+    const auto run = static_cast<std::size_t>(rng.uniform_int(1, 6));
+    for (std::size_t i = 0; i < run && reqs.size() < n; ++i)
+      reqs.push_back(Request{.arrival = t});
+  }
+  return Trace(std::move(reqs));
+}
+
+// Capacities covering maxQ1 = 0 (below 1/delta), small rings, maxQ1 >= N
+// and sub-microsecond periods (the 1 us duration clamp).
+const double kProbeCapacities[] = {1,   50,   99.9,  100,    101,  250,
+                                   640, 1000, 3333.3, 2.5e4, 2e6, 3.7e6,
+                                   5e8};
+
+TEST(RttAdmittedCount, MatchesDecompositionAdmitted) {
+  std::vector<Trace> traces;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed)
+    traces.push_back(random_tied_trace(seed, 200 * seed, 5000));
+  traces.push_back(generate_pareto_onoff(2000, 1.4, 0.05, 0.3,
+                                         10 * kUsPerSec, 3));
+  traces.push_back(make_trace({}));
+  traces.push_back(make_trace({42}));
+  for (const Trace& t : traces) {
+    const std::vector<Time> arrivals = arrivals_of(t);
+    for (double c : kProbeCapacities) {
+      for (Time delta : {Time{1'000}, Time{10'000}, Time{50'000}}) {
+        const auto got = rtt_admitted_count(arrivals, c, delta);
+        ASSERT_TRUE(got.has_value());
+        ASSERT_EQ(*got, rtt_decompose(t, c, delta).admitted)
+            << "N " << t.size() << " C " << c << " delta " << delta;
+        ASSERT_EQ(fraction_guaranteed(t, c, delta),
+                  rtt_decompose(t, c, delta).admitted_fraction());
+      }
+    }
+  }
+}
+
+TEST(RttAdmittedCount, StopsOnceRejectionsExceedTheBudget) {
+  const Trace t = make_trace({0, 0, 0, 0, 0});  // maxQ1 = 2 at C = 200
+  const std::vector<Time> arrivals = arrivals_of(t);
+  EXPECT_EQ(rtt_admitted_count(arrivals, 200, 10'000), 2);
+  EXPECT_EQ(rtt_admitted_count(arrivals, 200, 10'000, 3), 2);
+  EXPECT_EQ(rtt_admitted_count(arrivals, 200, 10'000, 2), std::nullopt);
+  // maxQ1 = 0 answers at once: all rejected.
+  EXPECT_EQ(rtt_admitted_count(arrivals, 50, 10'000, 5), 0);
+  EXPECT_EQ(rtt_admitted_count(arrivals, 50, 10'000, 4), std::nullopt);
+}
+
+TEST(MinAdmittedFor, IsLeastCountPassingTheFractionTest) {
+  for (std::int64_t n = 1; n <= 2100; ++n) {
+    for (double f : {0.0, 0.5, 0.9, 0.95, 0.99, 0.995, 0.999, 1.0}) {
+      std::int64_t want = 0;
+      while (static_cast<double>(want) / static_cast<double>(n) < f) ++want;
+      ASSERT_EQ(min_admitted_for(f, n), want) << "n " << n << " f " << f;
+    }
+  }
+  // f * n one ulp from an integer: the double 0.9 is slightly above 9/10,
+  // so the exact rational bound would demand 10 of 10, but the planner's
+  // test 9.0 / 10.0 >= 0.9 holds — the budget follows the double test.
+  EXPECT_EQ(min_admitted_for(0.9, 10), 9);
+  EXPECT_EQ(min_admitted_for(0.995, 200), 199);
+  EXPECT_EQ(min_admitted_for(0.999, 1000), 999);
+  EXPECT_EQ(min_admitted_for(0.0, 7), 0);
+  EXPECT_EQ(min_admitted_for(1.0, 7), 7);
+}
+
+TEST(RttAdmittedCount, EarlyExitVerdictEqualsFullCountVerdict) {
+  // Sizes include N where f * N lands within one ulp of an integer.
+  for (std::size_t n : {std::size_t{1}, std::size_t{10}, std::size_t{200},
+                        std::size_t{1000}, std::size_t{2000},
+                        std::size_t{1999}}) {
+    const Trace t = random_tied_trace(n, n, 3000);
+    const std::vector<Time> arrivals = arrivals_of(t);
+    const auto total = static_cast<std::int64_t>(n);
+    for (double f : {0.0, 0.9, 0.995, 0.999, 1.0}) {
+      const std::int64_t budget = total - min_admitted_for(f, total);
+      for (double c : kProbeCapacities) {
+        const std::int64_t full = *rtt_admitted_count(arrivals, c, 10'000);
+        const bool want =
+            static_cast<double>(full) / static_cast<double>(total) >= f;
+        const auto early = rtt_admitted_count(arrivals, c, 10'000, budget);
+        ASSERT_EQ(early.has_value(), want)
+            << "n " << n << " f " << f << " C " << c;
+        if (early) {
+          ASSERT_EQ(*early, full);
+        }
+      }
+    }
+  }
+}
+
+// min_capacity as it was before probes became count-only: every probe a
+// full rtt_decompose, and one more full replay for achieved_fraction.
+// Frozen here so the faster search is held to the same probe sequence.
+CapacityResult reference_min_capacity(const Trace& trace, double fraction,
+                                      Time delta, CapacityHint hint = {}) {
+  CapacityResult result;
+  if (trace.empty()) {
+    result.cmin_iops = 0;
+    result.achieved_fraction = 1.0;
+    return result;
+  }
+  auto frac = [&](std::int64_t c) {
+    return rtt_decompose(trace, static_cast<double>(c), delta)
+        .admitted_fraction();
+  };
+  auto ok = [&](std::int64_t c) {
+    ++result.probes;
+    return frac(c) >= fraction;
+  };
+  std::int64_t lo = hint.infeasible_below;
+  std::int64_t hi;
+  if (hint.feasible_at > 0) {
+    hi = hint.feasible_at;
+  } else {
+    hi = lo + 1;
+    while (!ok(hi)) {
+      lo = hi;
+      hi *= 2;
+    }
+  }
+  while (lo + 1 < hi) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    if (ok(mid))
+      hi = mid;
+    else
+      lo = mid;
+  }
+  result.cmin_iops = static_cast<double>(hi);
+  result.achieved_fraction = frac(hi);
+  return result;
+}
+
+void expect_same_result(const CapacityResult& got, const CapacityResult& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.cmin_iops, want.cmin_iops) << where;
+  EXPECT_EQ(got.achieved_fraction, want.achieved_fraction) << where;
+  EXPECT_EQ(got.probes, want.probes) << where;
+}
+
+TEST(MinCapacity, MatchesFrozenFullReplaySearch) {
+  const double fractions[] = {0.0, 0.9, 0.95, 0.99, 0.995, 0.999, 1.0};
+  std::vector<Trace> traces;
+  traces.push_back(generate_poisson(700, 10 * kUsPerSec, 53));
+  traces.push_back(generate_pareto_onoff(3000, 1.3, 0.02, 0.2,
+                                         10 * kUsPerSec, 59));
+  traces.push_back(generate_bmodel(600, 0.75, 12, 10 * kUsPerSec, 61));
+  traces.push_back(random_tied_trace(67, 1000, 2000));
+  traces.push_back(make_trace({5}));
+  for (std::size_t ti = 0; ti < traces.size(); ++ti) {
+    const Trace& t = traces[ti];
+    for (Time delta : {Time{5'000}, Time{10'000}, Time{50'000}}) {
+      std::vector<CapacityResult> cold;
+      for (double f : fractions) {
+        const std::string where = "trace " + std::to_string(ti) + " delta " +
+                                  std::to_string(delta) + " f " +
+                                  std::to_string(f);
+        const CapacityResult want = reference_min_capacity(t, f, delta);
+        expect_same_result(min_capacity(t, f, delta), want, where);
+        cold.push_back(want);
+
+        // Hinted forms: a lower bracket, an upper bracket, both, and
+        // loose versions of each — with and without verification.
+        const auto c = static_cast<std::int64_t>(want.cmin_iops);
+        std::vector<CapacityHint> hints;
+        if (c > 1) hints.push_back({.infeasible_below = c - 1});
+        if (c > 2) hints.push_back({.infeasible_below = c / 2});
+        hints.push_back({.feasible_at = c});
+        hints.push_back({.feasible_at = 3 * c + 1});
+        if (c > 1)
+          hints.push_back({.infeasible_below = c - 1, .feasible_at = c});
+        if (c > 3)
+          hints.push_back({.infeasible_below = c / 3, .feasible_at = 2 * c});
+        for (CapacityHint h : hints) {
+          const CapacityResult hinted = reference_min_capacity(t, f, delta, h);
+          expect_same_result(min_capacity(t, f, delta, h), hinted,
+                             where + " hint");
+          h.verify = true;
+          expect_same_result(min_capacity(t, f, delta, h), hinted,
+                             where + " verified hint");
+        }
+      }
+      // The warm-started profile threads infeasible_below exactly so.
+      const auto curve = capacity_profile(t, delta, {0.9, 0.95, 0.99, 1.0});
+      CapacityHint chain;
+      for (const CapacityPoint& p : curve) {
+        const CapacityResult want =
+            reference_min_capacity(t, p.fraction, delta, chain);
+        EXPECT_EQ(p.cmin_iops, want.cmin_iops);
+        chain.infeasible_below = static_cast<std::int64_t>(want.cmin_iops) - 1;
+      }
+    }
+  }
 }
 
 }  // namespace

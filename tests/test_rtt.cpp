@@ -7,6 +7,7 @@
 #include "curves/analysis.h"
 #include "trace/generator.h"
 #include "util/rng.h"
+#include "util/service_timer.h"
 
 namespace qos {
 namespace {
@@ -206,6 +207,99 @@ TEST(RttDecompose, FractionMonotoneInCapacity) {
     prev = f;
   }
   EXPECT_DOUBLE_EQ(prev, 1.0);
+}
+
+// The replay as first written: every admission's finish kept in an
+// unbounded FIFO vector, drained by a moving index.  Frozen here as the
+// oracle for the ring-backed RttReplay step.
+Decomposition reference_decompose(const Trace& trace, double capacity_iops,
+                                  Time delta) {
+  const std::int64_t max_q1 = max_q1_slots(capacity_iops, delta);
+  Decomposition d;
+  d.klass.assign(trace.size(), ServiceClass::kOverflow);
+  d.q1_finish.assign(trace.size(), kTimeMax);
+  std::vector<Time> finish;
+  std::size_t completed = 0;
+  ServiceTimer timer(capacity_iops);
+  Time last_finish = 0;
+  for (const auto& r : trace) {
+    while (completed < finish.size() && finish[completed] <= r.arrival)
+      ++completed;
+    if (static_cast<std::int64_t>(finish.size() - completed) < max_q1) {
+      const Time start = std::max(r.arrival, last_finish);
+      Time dur = timer.next();
+      if (dur <= 0) dur = 1;
+      last_finish = start + dur;
+      finish.push_back(last_finish);
+      d.klass[r.seq] = ServiceClass::kPrimary;
+      d.q1_finish[r.seq] = last_finish;
+      ++d.admitted;
+    }
+  }
+  return d;
+}
+
+// Random arrivals in bursts: runs of equal timestamps (ties) separated by
+// gaps from 0 to `max_gap` us.
+Trace random_tied_trace(std::uint64_t seed, std::size_t n, Time max_gap) {
+  Rng rng(seed);
+  std::vector<Request> reqs;
+  Time t = 0;
+  while (reqs.size() < n) {
+    t += rng.uniform_int(0, max_gap);
+    const auto run = static_cast<std::size_t>(rng.uniform_int(1, 6));
+    for (std::size_t i = 0; i < run && reqs.size() < n; ++i)
+      reqs.push_back(Request{.arrival = t});
+  }
+  return Trace(std::move(reqs));
+}
+
+TEST(RttReplay, RingMatchesUnboundedFifoReplay) {
+  // Capacities span maxQ1 = 0, a ring far smaller than the trace, maxQ1 at
+  // or above N, and sub-microsecond periods where the 1 us clamp governs.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const Trace t = random_tied_trace(seed, 1500, 4000);
+    for (double c : {50.0, 99.9, 100.0, 333.3, 1000.0, 4096.5, 1e5, 2e6,
+                     3.7e6, 5e8}) {
+      for (Time delta : {Time{1'000}, Time{10'000}, Time{50'000}}) {
+        const Decomposition want = reference_decompose(t, c, delta);
+        const Decomposition got = rtt_decompose(t, c, delta);
+        ASSERT_EQ(got.admitted, want.admitted)
+            << "seed " << seed << " C " << c << " delta " << delta;
+        ASSERT_EQ(got.klass, want.klass);
+        ASSERT_EQ(got.q1_finish, want.q1_finish);
+      }
+    }
+  }
+}
+
+TEST(RttReplay, PendingNeverExceedsMaxQ1OrOffers) {
+  const Trace t = random_tied_trace(17, 400, 50);
+  RttReplay replay(800, 10'000, t.size());  // maxQ1 = 8
+  EXPECT_EQ(replay.max_q1(), 8);
+  std::int64_t offered = 0, admitted = 0;
+  Time prev_finish = 0;
+  for (const auto& r : t) {
+    ++offered;
+    if (replay.admit(r.arrival)) {
+      ++admitted;
+      EXPECT_GT(replay.last_finish(), prev_finish);  // FIFO finishes rise
+      prev_finish = replay.last_finish();
+    }
+    EXPECT_LE(replay.pending(), std::min(replay.max_q1(), offered));
+  }
+  EXPECT_EQ(admitted, rtt_decompose(t, 800, 10'000).admitted);
+}
+
+TEST(RttReplay, SingleSlotRingAdmitsOneAtATime) {
+  // maxQ1 = 1: each admission must finish before the next is admitted.
+  RttReplay replay(100, 10'000, 4);
+  EXPECT_TRUE(replay.admit(0));
+  EXPECT_EQ(replay.last_finish(), 10'000);
+  EXPECT_FALSE(replay.admit(9'999));
+  EXPECT_TRUE(replay.admit(10'000));  // finish <= arrival drains
+  EXPECT_EQ(replay.last_finish(), 20'000);
+  EXPECT_EQ(replay.pending(), 1);
 }
 
 }  // namespace

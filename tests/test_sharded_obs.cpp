@@ -278,7 +278,6 @@ TEST(ShardedSink, CursorMergeMatchesReferenceSort) {
   std::vector<Event> all;
   // Four lanes with interleaved, gapped timelines; seqs globally unique.
   for (std::uint32_t lane_key = 0; lane_key < 4; ++lane_key) {
-    EventSink* lane = sink.lane(lane_key);
     for (std::uint64_t i = 0; i < 50; ++i) {
       const Event e = make_event(
           static_cast<Time>((i * 7 + lane_key * 3) % 90), i * 4 + lane_key,
