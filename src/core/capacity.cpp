@@ -158,8 +158,10 @@ std::vector<CapacityPoint> capacity_profile(const Trace& trace, Time delta,
   for (double f : fractions) {
     const CapacityResult r = min_capacity_of(arrivals, f, delta, hint);
     out.push_back({f, r.cmin_iops});
-    // Cmin is non-decreasing in f, so this answer lower-bounds the next.
-    hint.infeasible_below = static_cast<std::int64_t>(r.cmin_iops) - 1;
+    // Cmin is non-decreasing in f, so this answer lower-bounds the next
+    // (clamped: a zero Cmin, e.g. of an empty trace, bounds nothing).
+    hint.infeasible_below =
+        std::max<std::int64_t>(static_cast<std::int64_t>(r.cmin_iops) - 1, 0);
   }
   return out;
 }

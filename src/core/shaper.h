@@ -118,6 +118,20 @@ struct ShapingOutcome {
 std::unique_ptr<Scheduler> make_scheduler(const ShapingConfig& config,
                                           double cmin_iops);
 
+/// The backing servers of a shaped run, with the views a run takes.
+struct BackingServers {
+  std::vector<std::unique_ptr<Server>> owned;
+  /// `owned[i]` passed through `config.server_decorator` (when set).
+  std::vector<Server*> servers;
+};
+
+/// The servers a `server_count`-server policy runs on at `cmin_iops`, as
+/// shape_and_run builds them: two servers (Split) are a primary at Cmin and
+/// a dedicated overflow server at dC (1 IOPS when dC is 0); one server runs
+/// at Cmin + dC.  dC is `config.resolved_headroom_iops()`.
+BackingServers build_backing_servers(const ShapingConfig& config,
+                                     double cmin_iops, int server_count);
+
 /// Profile (unless overridden), schedule and simulate.  FCFS receives the
 /// same total capacity (Cmin + dC) on a single server, matching the paper's
 /// equal-resources comparison.

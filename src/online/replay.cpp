@@ -1,105 +1,66 @@
 #include "online/replay.h"
 
-#include <memory>
-
-#include "sim/server.h"
+#include "sim/engine.h"
 #include "util/check.h"
 #include "util/clock.h"
-#include "util/indexed_heap.h"
 
 namespace qos::online {
 
-ReplayOutcome replay_trace(const Trace& trace, const ShaperOptions& options) {
+namespace {
+
+// The Shaper as a ServiceLoop's dispatch half, through its public API only.
+// The Shaper's clock follows the loop's instants.
+struct ShaperDispatch {
+  Shaper* shaper;
+  VirtualClock* clock;
+  std::vector<Decision>* decisions;
+
+  int server_count() const { return shaper->server_count(); }
+
+  void arrive(const Request& r, Time now) {
+    clock->advance_to(now);
+    decisions->push_back(shaper->admit(r, now));
+  }
+
+  template <typename Start>
+  void fill(Time now, Start&& start) {
+    clock->advance_to(now);
+    shaper->poll_dispatch(now, [&start](const DispatchCommand& cmd) {
+      start(cmd.server, Scheduler::Dispatch{cmd.request, cmd.klass});
+    });
+  }
+
+  void complete(const Request& r, ServiceClass klass, int server, Time now) {
+    clock->advance_to(now);
+    shaper->on_completion(r, klass, server, now);
+  }
+};
+
+}  // namespace
+
+ReplayOutcome replay_trace(const Trace& trace, const ShaperOptions& options,
+                           std::span<Server* const> servers) {
   QOS_EXPECTS(options.max_q2_depth == 0);
   QOS_EXPECTS(trace.validate());
 
   VirtualClock clock;
   Shaper shaper(options, clock);
-  const ShapingConfig& shaping = shaper.options().shaping;
-
-  // Backing servers, built exactly like shape_and_run: Split gets a
-  // dedicated overflow server at dC, everything else one server at
-  // Cmin + dC.  Degraded admission is single-server strict priority.
-  const double headroom = shaping.resolved_headroom_iops();
-  std::vector<std::unique_ptr<ConstantRateServer>> owned;
-  if (!options.use_degraded_admission &&
-      shaping.policy == Policy::kSplit) {
-    owned.push_back(
-        std::make_unique<ConstantRateServer>(options.cmin_iops));
-    owned.push_back(
-        std::make_unique<ConstantRateServer>(headroom > 0 ? headroom : 1.0));
-  } else {
-    owned.push_back(
-        std::make_unique<ConstantRateServer>(options.cmin_iops + headroom));
+  BackingServers backing;
+  if (servers.empty()) {
+    backing = build_backing_servers(shaper.options().shaping,
+                                    options.cmin_iops, shaper.server_count());
+    servers = backing.servers;
   }
-  std::vector<Server*> servers;
-  for (std::size_t s = 0; s < owned.size(); ++s) {
-    Server* backing = owned[s].get();
-    servers.push_back(shaping.server_decorator
-                          ? shaping.server_decorator(backing,
-                                                     static_cast<int>(s))
-                          : backing);
-  }
-  QOS_CHECK(static_cast<int>(servers.size()) == shaper.server_count());
-  if (EventSink* sink = shaper.event_sink(); sink != nullptr)
-    for (Server* s : servers) s->attach_observability(sink);
 
   ReplayOutcome out;
   out.decisions.reserve(trace.size());
   out.sim.completions.reserve(trace.size());
-
-  // In-flight record per server, valid from dispatch to completion.
-  std::vector<CompletionRecord> slot(servers.size());
-  IndexedMinHeap<Time> pending(static_cast<int>(servers.size()));
-  std::size_t next_arrival = 0;
-
-  while (true) {
-    const Time next_completion =
-        pending.empty() ? kTimeMax : pending.top_key();
-    const Time arrival_time = next_arrival < trace.size()
-                                  ? trace[next_arrival].arrival
-                                  : kTimeMax;
-    const Time now = std::min(next_completion, arrival_time);
-    if (now == kTimeMax) break;
-    clock.advance_to(now);
-
-    // Completions first, in (finish, server) order — the simulator's
-    // documented contract.
-    while (!pending.empty() && pending.top_key() == now) {
-      const int s = pending.pop();
-      const CompletionRecord& record = slot[static_cast<std::size_t>(s)];
-      out.sim.completions.push_back(record);
-      shaper.on_completion(Request{.arrival = record.arrival,
-                                   .seq = record.seq,
-                                   .client = record.client},
-                           record.klass, s, now);
-    }
-
-    // Then every arrival at `now`.
-    while (next_arrival < trace.size() &&
-           trace[next_arrival].arrival == now) {
-      out.decisions.push_back(shaper.admit(trace[next_arrival], now));
-      ++next_arrival;
-    }
-
-    // Then refill the backends, asking the server models for durations in
-    // dispatch order (they are stateful, like simulate() warns).
-    for (const DispatchCommand& cmd : shaper.poll_dispatch(now)) {
-      const std::size_t s = static_cast<std::size_t>(cmd.server);
-      const Time dur = servers[s]->service_duration(cmd.request, now);
-      QOS_CHECK(dur > 0);
-      slot[s] = CompletionRecord{
-          .seq = cmd.request.seq,
-          .client = cmd.request.client,
-          .arrival = cmd.request.arrival,
-          .start = now,
-          .finish = now + dur,
-          .klass = cmd.klass,
-          .server = static_cast<std::uint8_t>(cmd.server),
-      };
-      pending.push(cmd.server, now + dur);
-    }
-  }
+  ServiceLoop<ShaperDispatch> loop(
+      ShaperDispatch{&shaper, &clock, &out.decisions}, servers,
+      shaper.event_sink());
+  loop.run(trace, [&out](const CompletionRecord& record) {
+    out.sim.completions.push_back(record);
+  });
 
   QOS_ENSURES(out.decisions.size() == trace.size());
   QOS_ENSURES(out.sim.completions.size() == trace.size());

@@ -13,11 +13,13 @@
 // The policy backend is the *same* scheduler object shape_and_run builds
 // (make_scheduler / DegradedRttScheduler) — the Shaper adds no admission
 // logic of its own, it only re-frames the scheduler's callbacks as an
-// imperative API.  That is a provable claim, not a slogan: replay_trace()
-// (online/replay.h) drives a Shaper with a VirtualClock from a trace and
-// the differential tests assert the decisions, the completion records and
-// the emitted event stream are bit-identical to shape_and_run's, per
-// policy.
+// imperative API — and the dispatch side is the simulator's own dispatch
+// half (sim/engine.h Dispatcher: the idle backends, the fill fixed point and
+// the kArrival / kDispatch / kCompletion emission), held behind the lock.
+// That is a provable claim, not a slogan: replay_trace() (online/replay.h)
+// runs a Shaper inside the simulator's event loop from a trace and the
+// differential tests assert the decisions, the completion records and the
+// emitted event stream are bit-identical to shape_and_run's, per policy.
 //
 // Threading: all public methods are thread-safe behind one internal mutex
 // (uncontended cost is part of what bench/online_loadgen measures).  Event
@@ -40,7 +42,9 @@
 #include "core/shaper.h"
 #include "fault/degraded_rtt.h"
 #include "obs/sink.h"
+#include "sim/engine.h"
 #include "sim/scheduler.h"
+#include "util/check.h"
 #include "util/clock.h"
 #include "util/time.h"
 
@@ -157,6 +161,18 @@ class Shaper {
   std::vector<DispatchCommand> poll_dispatch(Time now);
   std::vector<DispatchCommand> poll_dispatch();
 
+  /// Callback form: `start(const DispatchCommand&)` is called for each
+  /// command, in the same order, under the Shaper's lock and before the
+  /// command's kDispatch event — so a backend model can take its service
+  /// duration there and any events it emits land where the simulator puts
+  /// them (replay_trace does exactly that).  `start` must not call back
+  /// into this Shaper (the lock is held, non-reentrant).
+  template <typename Start>
+  void poll_dispatch(Time now, Start&& start) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    poll_dispatch_locked(now, start);
+  }
+
   /// Report that `server` finished serving `r` (previously handed out by
   /// poll_dispatch with class `klass`) at `now`.  Frees the backend; call
   /// poll_dispatch afterwards to refill it.
@@ -196,9 +212,19 @@ class Shaper {
   class DecisionCapture;
 
   Decision admit_locked(const Request& r, Time now);
-  void poll_dispatch_locked(Time now, std::vector<DispatchCommand>& out);
   void on_completion_locked(const Request& r, ServiceClass klass, int server,
                             Time now);
+
+  template <typename Start>
+  void poll_dispatch_locked(Time now, Start& start) {
+    dispatch_.fill(now, [&](int server, const Scheduler::Dispatch& d) {
+      if (d.klass == ServiceClass::kOverflow) {
+        QOS_CHECK(q2_backlog_ > 0);
+        --q2_backlog_;
+      }
+      start(DispatchCommand{d.request, d.klass, server});
+    });
+  }
 
   ShaperOptions options_;
   Clock* clock_;
@@ -206,9 +232,9 @@ class Shaper {
   mutable std::mutex mutex_;
   std::unique_ptr<DecisionCapture> capture_;
   std::unique_ptr<Scheduler> scheduler_;
-  Probe probe_;                ///< kArrival/kDispatch/kCompletion emission
-  std::vector<int> idle_;      ///< idle backend indices, ascending
-  int busy_ = 0;
+  /// The simulator's dispatch half: the idle backends, the fill fixed point
+  /// and the kArrival / kDispatch / kCompletion emission.
+  Dispatcher dispatch_;
   std::size_t q2_backlog_ = 0;
   std::uint64_t admitted_q1_ = 0;
   std::uint64_t admitted_q2_ = 0;

@@ -43,20 +43,14 @@ SimResult simulate(const Trace& trace, Scheduler& scheduler,
   QOS_EXPECTS(trace.validate());
 
   // The event loop lives in SimEngine (sim/engine.h) so the materialized,
-  // streamed and sharded drivers share one event order.  This driver is the
-  // reference cadence: retire everything before each arrival instant, buffer
-  // the arrival, drain at the end.
+  // streamed, sharded and replayed drivers share one event order.  This
+  // driver is the reference cadence (ServiceLoop::run).
   SimEngine engine(scheduler, servers, sink);
   SimResult result;
   result.completions.reserve(trace.size());
-  auto collect = [&result](const CompletionRecord& record) {
+  engine.run(trace, [&result](const CompletionRecord& record) {
     result.completions.push_back(record);
-  };
-  for (const Request& r : trace) {
-    engine.advance_until(r.arrival, collect);
-    engine.push_arrival(r);
-  }
-  engine.advance_until(kTimeMax, collect);
+  });
 
   if (scheduler.fans_out())
     QOS_ENSURES(result.completions.size() >= trace.size());

@@ -74,6 +74,14 @@ TEST(MinCapacity, EmptyTraceNeedsNothing) {
   EXPECT_DOUBLE_EQ(r.achieved_fraction, 1.0);
 }
 
+TEST(CapacityProfile, EmptyTraceNeedsNothingAtEveryFraction) {
+  // A zero Cmin must not turn into a negative warm-start hint for the next
+  // fraction.
+  const auto curve = capacity_profile(Trace(), from_ms(10), {0.9, 0.99, 1.0});
+  ASSERT_EQ(curve.size(), 3u);
+  for (const auto& point : curve) EXPECT_DOUBLE_EQ(point.cmin_iops, 0);
+}
+
 TEST(MinCapacity, ProbeCountIsLogarithmic) {
   Trace t = generate_poisson(2000, 10 * kUsPerSec, 19);
   CapacityResult r = min_capacity(t, 1.0, 5'000);

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "core/capacity.h"
 #include "core/multi_tenant.h"
 #include "obs/sink.h"
+#include "online/replay.h"
 #include "online/shaper.h"
 #include "runner/parallel_capacity.h"
 #include "runner/result_cache.h"
@@ -367,24 +370,42 @@ TEST(ControlPlane, LocalDegradedSitsBetweenModes) {
 
 // ---------------------------------------------------------------------------
 
-// Forwards to a target bound after construction — breaks the ordering cycle
-// between Shaper (whose ctor wires sinks) and the ControlLoop (which needs
-// the scheduler the Shaper's factory builds).
-struct LateSink final : EventSink {
-  EventSink* target = nullptr;
-  void on_event(const Event& e) override {
-    if (target != nullptr) target->on_event(e);
+// Forwards every call to a scheduler the caller owns.  The Shaper owns and
+// destroys the scheduler its factory returns; this keeps the real one alive
+// past replay_trace so its final state can be read.
+class BorrowedScheduler final : public Scheduler {
+ public:
+  explicit BorrowedScheduler(Scheduler& inner) : inner_(inner) {}
+  void attach_observability(EventSink* sink,
+                            MetricRegistry* registry) override {
+    inner_.attach_observability(sink, registry);
   }
+  int server_count() const override { return inner_.server_count(); }
+  bool arrival_joins_primary(Time now) override {
+    return inner_.arrival_joins_primary(now);
+  }
+  void on_arrival(const Request& r, Time now) override {
+    inner_.on_arrival(r, now);
+  }
+  std::optional<Dispatch> next_for(int server, Time now) override {
+    return inner_.next_for(server, now);
+  }
+  void on_complete(const Request& r, ServiceClass klass, int server,
+                   Time now) override {
+    inner_.on_complete(r, klass, server, now);
+  }
+
+ private:
+  Scheduler& inner_;
 };
 
 TEST(ControlPlane, OnlineShaperMatchesOfflineHarness) {
   // The *same* ControlLoop class closes the loop on both sides: offline as
-  // simulate()'s sink, online as the Shaper's sink.  Drive the identical
-  // merged trace through online::Shaper (admit / poll_dispatch /
-  // on_completion against one ConstantRateServer) with the simulator's
-  // event order (completions before arrivals at equal instants, dispatch
-  // after both) and assert completions, reprovision count and final
-  // allocations are bit-identical to run_control_plane's.
+  // simulate()'s sink, online as the Shaper's sink.  Replay the identical
+  // merged trace through online::Shaper against one ConstantRateServer
+  // (replay_trace runs the simulator's own event loop) and assert
+  // completions, reprovision count and final allocations are bit-identical
+  // to run_control_plane's.
   const std::vector<Trace> tenants = shifting_tenants(4, 12 * kUsPerSec, 21);
   ControlPlaneConfig config = harness_config(ControlMode::kController);
 
@@ -409,75 +430,30 @@ TEST(ControlPlane, OnlineShaperMatchesOfflineHarness) {
   ctrl_cfg.fraction = config.fraction;
   ctrl_cfg.delta = config.delta;
   QosController controller(ctrl_cfg, allocations, total);
-
-  LateSink late;
-  online::ShaperOptions options;
-  options.shaping.delta = config.delta;
-  options.shaping.sink = &late;
-  ControlledTenantScheduler* raw_sched = nullptr;
-  options.make_custom_scheduler = [&]() {
-    auto s = std::make_unique<ControlledTenantScheduler>(
-        allocations, config.delta, total);
-    raw_sched = s.get();
-    return std::unique_ptr<Scheduler>(std::move(s));
-  };
-  VirtualClock clock;
-  online::Shaper shaper(options, clock);
-  ASSERT_NE(raw_sched, nullptr);
+  ControlledTenantScheduler sched(allocations, config.delta, total);
 
   ControlLoopConfig loop_config;
   loop_config.epoch = config.controller.epoch;
   loop_config.sla_fraction = config.fraction;
   loop_config.delta = config.delta;
   loop_config.breach = config.breach;
-  ControlLoop loop(loop_config, tenants.size(), raw_sched, &controller,
-                   nullptr);
-  late.target = &loop;  // every Shaper event now drives the loop
+  ControlLoop loop(loop_config, tenants.size(), &sched, &controller, nullptr);
 
-  const Trace merged = Trace::merge(tenants);
+  online::ShaperOptions options;
+  options.shaping.delta = config.delta;
+  options.shaping.sink = &loop;  // every Shaper event drives the loop
+  options.make_custom_scheduler = [&sched] {
+    return std::unique_ptr<Scheduler>(
+        std::make_unique<BorrowedScheduler>(sched));
+  };
+
   ConstantRateServer server(total);
+  Server* servers[] = {&server};
+  const online::ReplayOutcome replayed =
+      online::replay_trace(Trace::merge(tenants), options, servers);
 
-  struct InFlight {
-    Request request;
-    ServiceClass klass;
-    Time finish;
-  };
-  std::optional<InFlight> in_flight;  // single backend => at most one
-  std::size_t next_arrival = 0;
-  std::vector<CompletionRecord> completions;
-
-  auto drain = [&](Time now) {
-    for (const online::DispatchCommand& cmd : shaper.poll_dispatch(now)) {
-      const Time duration = server.service_duration(cmd.request, now);
-      in_flight = InFlight{cmd.request, cmd.klass, now + duration};
-      completions.push_back({cmd.request.seq, cmd.request.client,
-                             cmd.request.arrival, now, now + duration,
-                             cmd.klass, 0});
-    }
-  };
-
-  while (next_arrival < merged.size() || in_flight.has_value()) {
-    const Time arrival_t =
-        next_arrival < merged.size() ? merged[next_arrival].arrival : kTimeMax;
-    const Time completion_t =
-        in_flight.has_value() ? in_flight->finish : kTimeMax;
-    const Time now = std::min(arrival_t, completion_t);
-    clock.advance_to(now);
-    // Completions strictly before arrivals at the same instant, dispatch
-    // only after both — simulate()'s loop shape.
-    if (in_flight.has_value() && in_flight->finish == now) {
-      const InFlight f = *in_flight;
-      in_flight.reset();
-      shaper.on_completion(f.request, f.klass, 0, now);
-    }
-    while (next_arrival < merged.size() &&
-           merged[next_arrival].arrival == now) {
-      (void)shaper.admit(merged[next_arrival], now);
-      ++next_arrival;
-    }
-    drain(now);
-  }
-
+  const std::vector<CompletionRecord>& completions =
+      replayed.sim.completions;
   ASSERT_EQ(completions.size(), offline.sim.completions.size());
   for (std::size_t i = 0; i < completions.size(); ++i) {
     EXPECT_EQ(completions[i].seq, offline.sim.completions[i].seq);
@@ -487,11 +463,14 @@ TEST(ControlPlane, OnlineShaperMatchesOfflineHarness) {
   EXPECT_EQ(loop.reprovisions(), offline.reprovisions);
   EXPECT_GT(loop.reprovisions(), 0u);
   for (std::size_t t = 0; t < tenants.size(); ++t) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(raw_sched->allocation(t)),
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sched.allocation(t)),
               std::bit_cast<std::uint64_t>(offline.tenants[t].final_iops))
         << "tenant " << t;
   }
-  EXPECT_EQ(shaper.demotions(), offline.demotions);
+  const auto demotions = static_cast<std::uint64_t>(
+      std::count_if(replayed.decisions.begin(), replayed.decisions.end(),
+                    [](const online::Decision& d) { return d.demoted; }));
+  EXPECT_EQ(demotions, offline.demotions);
 }
 
 TEST(ControlPlane, ShaperReconfigureAppliesAtomically) {

@@ -8,9 +8,13 @@
 // degraded admission.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "core/shaper.h"
+#include "fault/fault_schedule.h"
+#include "fault/faulty_server.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
 #include "online/replay.h"
@@ -47,13 +51,23 @@ struct Differential {
   std::vector<Event> online_events;
 };
 
-Differential run_differential(Policy policy, const Trace& trace) {
+// With `faults` non-empty, both sides run every server behind a
+// FaultyServer with that schedule, so the servers' own kFaultBegin /
+// kSlowService events join the stream.
+Differential run_differential(Policy policy, const Trace& trace,
+                              const FaultySchedule& faults = {}) {
   Differential d;
+  std::vector<std::unique_ptr<FaultyServer>> wrappers;  // both sides'
+  auto decorate = [&](Server* s, int) -> Server* {
+    wrappers.push_back(std::make_unique<FaultyServer>(*s, faults));
+    return wrappers.back().get();
+  };
 
   RecordingSink offline_sink;
   ShapingConfig config;
   config.policy = policy;
   config.sink = &offline_sink;
+  if (!faults.empty()) config.server_decorator = decorate;
   d.offline = shape_and_run(trace, config);
   d.offline_events = offline_sink.events();
 
@@ -61,6 +75,7 @@ Differential run_differential(Policy policy, const Trace& trace) {
   ShaperOptions options;
   options.shaping.policy = policy;
   options.shaping.sink = &online_sink;
+  if (!faults.empty()) options.shaping.server_decorator = decorate;
   options.cmin_iops = d.offline.cmin_iops;
   d.online = online::replay_trace(trace, options);
   d.online_events = online_sink.events();
@@ -68,50 +83,69 @@ Differential run_differential(Policy policy, const Trace& trace) {
 }
 
 TEST(OnlineShaperDifferential, DecisionsAndCompletionsMatchShapeAndRun) {
+  // Plain servers, and servers behind a 2-4 s latency spike: these emit
+  // kFaultBegin / kSlowService / kFaultEnd while they take service
+  // durations, which must land where simulate() puts them (before the
+  // dispatch they belong to).
+  FaultySchedule spike;
+  spike.latency_spike(2 * kUsPerSec, 4 * kUsPerSec, 500);
   const Trace trace = burst_trace();
-  for (Policy policy : kAllPolicies) {
-    SCOPED_TRACE(policy_name(policy));
-    const Differential d = run_differential(policy, trace);
-
-    // Completion records — same bytes, same order.
-    ASSERT_EQ(d.online.sim.completions.size(),
-              d.offline.sim.completions.size());
-    EXPECT_EQ(d.online.sim.completions, d.offline.sim.completions);
-
-    // The full event stream: arrivals, admissions, dispatches,
-    // completions, in the same order with the same payloads.
-    ASSERT_EQ(d.online_events.size(), d.offline_events.size());
-    for (std::size_t i = 0; i < d.online_events.size(); ++i) {
-      ASSERT_EQ(d.online_events[i], d.offline_events[i]) << "event " << i;
-    }
-
-    // One decision per request, in arrival order, consistent with the
-    // stream the offline run emitted.
-    ASSERT_EQ(d.online.decisions.size(), trace.size());
-    std::size_t q1 = 0, q2 = 0;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      const Decision& dec = d.online.decisions[i];
-      EXPECT_EQ(dec.seq, trace[i].seq);
-      EXPECT_NE(dec.admit, Admit::kShed);  // unbounded Q2 never sheds
-      if (dec.admit == Admit::kQ1) {
-        ++q1;
-        EXPECT_EQ(dec.deadline,
-                  trace[i].arrival + ShapingConfig{}.delta);
-      } else {
-        ++q2;
-        EXPECT_EQ(dec.deadline, kTimeMax);
+  for (const FaultySchedule& faults : {FaultySchedule{}, spike}) {
+    for (Policy policy : kAllPolicies) {
+      SCOPED_TRACE(::testing::Message()
+                   << policy_name(policy)
+                   << (faults.empty() ? "" : " + latency spike"));
+      const Differential d = run_differential(policy, trace, faults);
+      if (!faults.empty()) {
+        EXPECT_GT(std::count_if(d.offline_events.begin(),
+                                d.offline_events.end(),
+                                [](const Event& e) {
+                                  return e.kind == EventKind::kSlowService;
+                                }),
+                  0);
       }
+
+      // Completion records — same bytes, same order.
+      ASSERT_EQ(d.online.sim.completions.size(),
+                d.offline.sim.completions.size());
+      EXPECT_EQ(d.online.sim.completions, d.offline.sim.completions);
+
+      // The full event stream: arrivals, admissions, dispatches,
+      // completions, server events, in the same order with the same
+      // payloads.
+      ASSERT_EQ(d.online_events.size(), d.offline_events.size());
+      for (std::size_t i = 0; i < d.online_events.size(); ++i) {
+        ASSERT_EQ(d.online_events[i], d.offline_events[i]) << "event " << i;
+      }
+
+      // One decision per request, in arrival order, consistent with the
+      // stream the offline run emitted.
+      ASSERT_EQ(d.online.decisions.size(), trace.size());
+      std::size_t q1 = 0, q2 = 0;
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        const Decision& dec = d.online.decisions[i];
+        EXPECT_EQ(dec.seq, trace[i].seq);
+        EXPECT_NE(dec.admit, Admit::kShed);  // unbounded Q2 never sheds
+        if (dec.admit == Admit::kQ1) {
+          ++q1;
+          EXPECT_EQ(dec.deadline,
+                    trace[i].arrival + ShapingConfig{}.delta);
+        } else {
+          ++q2;
+          EXPECT_EQ(dec.deadline, kTimeMax);
+        }
+      }
+      std::uint64_t offline_admits = 0, offline_overflows = 0;
+      for (const Event& e : d.offline_events) {
+        offline_admits += e.kind == EventKind::kAdmit ? 1 : 0;
+        offline_overflows += (e.kind == EventKind::kReject ||
+                              e.kind == EventKind::kDemote)
+                                 ? 1
+                                 : 0;
+      }
+      EXPECT_EQ(q1, offline_admits);
+      EXPECT_EQ(q2, offline_overflows);
     }
-    std::uint64_t offline_admits = 0, offline_overflows = 0;
-    for (const Event& e : d.offline_events) {
-      offline_admits += e.kind == EventKind::kAdmit ? 1 : 0;
-      offline_overflows += (e.kind == EventKind::kReject ||
-                            e.kind == EventKind::kDemote)
-                               ? 1
-                               : 0;
-    }
-    EXPECT_EQ(q1, offline_admits);
-    EXPECT_EQ(q2, offline_overflows);
   }
 }
 

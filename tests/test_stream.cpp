@@ -32,7 +32,9 @@ std::vector<Request> drain(RequestStream& s) {
   while (auto r = s.next()) {
     EXPECT_TRUE(request_record_ok(*r));
     EXPECT_EQ(r->seq, out.size());
-    if (!out.empty()) EXPECT_GE(r->arrival, out.back().arrival);
+    if (!out.empty()) {
+      EXPECT_GE(r->arrival, out.back().arrival);
+    }
     out.push_back(*r);
   }
   EXPECT_FALSE(s.next().has_value()) << "nullopt must be sticky";
