@@ -7,7 +7,8 @@
 //   * For each FQ backend (SFQ / WFQ / WF2Q+ / pClock) at 1, 16 and 256
 //     flows, steady-state enqueue+dequeue pairs per second through the
 //     production heap implementation and through the O(flows) linear-scan
-//     reference (fq/scan_reference.h) it replaced, plus the speedup ratio.
+//     reference (fq/scan_reference.h) it replaced, plus the speedup ratio
+//     (the median of per-repeat paired ratios, see below).
 //   * Sparse-activation cells at 4096, 65536 and 1048576 configured flows:
 //     4096 concurrently backlogged flows marching across the id space on a
 //     multiplicative stride, so flows constantly drain idle and reactivate.
@@ -27,10 +28,13 @@
 // million-flow cell every flat backend must undercut its dense
 // counterpart's footprint.
 //
-// Each measurement repeats --repeats times and keeps the best run (least
-// interference).  scripts/check_perf.py compares a fresh BENCH_micro.json
-// against the committed bench/BENCH_micro.baseline.json and fails on >25%
-// throughput regressions; see README "Perf baseline".
+// Each measurement repeats --repeats times.  The simulator rates keep the
+// best run (least interference); the gated heap/scan, flat/dense and
+// merge/source ratios pair the two sides within each repeat and keep the
+// median of those ratios (paired_rates).  scripts/check_perf.py compares a
+// fresh BENCH_micro.json against the committed
+// bench/BENCH_micro.baseline.json and fails on >25% throughput
+// regressions; see README "Perf baseline".
 //
 // usage: micro_algorithms [--json PATH] [--ops N] [--repeats R]
 #include <algorithm>
@@ -106,6 +110,33 @@ MicroOptions parse_args(int argc, char** argv) {
   return o;
 }
 
+// A subject and its in-process reference, timed back to back in each
+// repeat.  The gated ratio is the median of the per-repeat subject/reference
+// ratios: the host's speed drifts in phases longer than one pair, which a
+// ratio of two independent bests does not cancel — a slow phase would land
+// on one side only.
+struct PairedRates {
+  double subject_per_sec = 0;    ///< best repeat
+  double reference_per_sec = 0;  ///< best repeat
+  double ratio = 0;  ///< median over repeats of the paired ratio
+};
+
+template <typename Subject, typename Reference>
+PairedRates paired_rates(int repeats, Subject subject, Reference reference) {
+  PairedRates out;
+  std::vector<double> ratios;
+  for (int r = 0; r < repeats; ++r) {
+    const double s = subject();
+    const double ref = reference();
+    out.subject_per_sec = std::max(out.subject_per_sec, s);
+    out.reference_per_sec = std::max(out.reference_per_sec, ref);
+    ratios.push_back(s / ref);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  out.ratio = ratios[ratios.size() / 2];
+  return out;
+}
+
 // Steady-state throughput of one scheduler instance: keep every flow
 // backlogged, then alternate enqueue/dequeue so the tag structures stay at
 // constant size while being exercised on both sides.  Unit costs make head
@@ -132,29 +163,29 @@ double fq_pairs_per_sec(Sched& s, int flows, std::uint64_t ops) {
   return static_cast<double>(ops) / elapsed;
 }
 
-template <typename MakeSched>
-double best_fq_rate(MakeSched make, int flows, const MicroOptions& o) {
-  double best = 0;
-  for (int r = 0; r < o.repeats; ++r) {
-    auto s = make(flows);
-    best = std::max(best, fq_pairs_per_sec(s, flows, o.ops));
-  }
-  return best;
+// Heap backend vs its scan reference at `flows`, paired per repeat.
+template <typename MakeHeap, typename MakeScan>
+PairedRates fq_cell(MakeHeap make_heap, MakeScan make_scan, int flows,
+                    const MicroOptions& o) {
+  return paired_rates(
+      o.repeats,
+      [&] {
+        auto s = make_heap(flows);
+        return fq_pairs_per_sec(s, flows, o.ops);
+      },
+      [&] {
+        auto s = make_scan(flows);
+        return fq_pairs_per_sec(s, flows, o.ops);
+      });
 }
 
 std::vector<PClockSla> uniform_slas(int flows) {
   return std::vector<PClockSla>(static_cast<std::size_t>(flows), PClockSla{});
 }
 
-struct FqCell {
-  double heap_ops_per_sec = 0;
-  double scan_ops_per_sec = 0;
-  double speedup() const { return heap_ops_per_sec / scan_ops_per_sec; }
-};
-
 struct FqRow {
   const char* name;
-  FqCell cells[3];  ///< at kFlowCounts
+  PairedRates cells[3];  ///< heap vs scan at kFlowCounts
 };
 
 constexpr int kFlowCounts[3] = {1, 16, 256};
@@ -171,11 +202,9 @@ constexpr std::uint64_t kBacklogged = 4'096;
 constexpr std::uint64_t kSparseStride = 2'654'435'761u;
 
 struct SparseCell {
-  double prod_ops_per_sec = 0;
-  double ref_ops_per_sec = 0;
+  PairedRates rates;  ///< flat (subject) vs dense (reference)
   std::size_t prod_mem_bytes = 0;
   std::size_t ref_mem_bytes = 0;
-  double speedup() const { return prod_ops_per_sec / ref_ops_per_sec; }
 };
 
 struct SparseRow {
@@ -217,19 +246,23 @@ double fq_sparse_pairs_per_sec(Sched& s, int cells, std::uint64_t ops,
   return static_cast<double>(ops) / elapsed;
 }
 
-template <typename MakeSched>
-double best_sparse_rate(MakeSched make, int cells, const MicroOptions& o,
-                        std::size_t* mem_bytes) {
-  // The million-cell dense reference pays tens of MB of (untimed)
-  // construction per repeat; halve the repeats there to keep CI fast.
-  const int repeats = cells >= 1'000'000 ? std::max(1, o.repeats / 2)
-                                         : o.repeats;
-  double best = 0;
-  for (int r = 0; r < repeats; ++r) {
-    auto s = make(cells);
-    best = std::max(best, fq_sparse_pairs_per_sec(s, cells, o.ops, mem_bytes));
-  }
-  return best;
+// Flat backend vs its dense reference at `cells`, paired per repeat.  The
+// footprints are deterministic, so the last repeat's stand.
+template <typename MakeProd, typename MakeRef>
+SparseCell sparse_cell(MakeProd make_prod, MakeRef make_ref, int cells,
+                       const MicroOptions& o) {
+  SparseCell c;
+  c.rates = paired_rates(
+      o.repeats,
+      [&] {
+        auto s = make_prod(cells);
+        return fq_sparse_pairs_per_sec(s, cells, o.ops, &c.prod_mem_bytes);
+      },
+      [&] {
+        auto s = make_ref(cells);
+        return fq_sparse_pairs_per_sec(s, cells, o.ops, &c.ref_mem_bytes);
+      });
+  return c;
 }
 
 const Trace& sim_trace() {
@@ -269,12 +302,6 @@ double best_sim_events_per_sec(const MicroOptions& o, RunOnce run) {
 constexpr int kMergeSources[3] = {64, 256, 1'024};
 constexpr Time kMergeDuration = 60 * kUsPerSec;
 
-struct MergeCell {
-  double merge_req_per_sec = 0;   ///< best repeat
-  double source_req_per_sec = 0;  ///< best repeat
-  double ratio = 0;  ///< median over repeats of the paired merge/source ratio
-};
-
 std::vector<std::unique_ptr<stream::RequestStream>> poisson_sources(
     int sources, std::uint64_t ops) {
   const double rate = static_cast<double>(ops) /
@@ -287,59 +314,53 @@ std::vector<std::unique_ptr<stream::RequestStream>> poisson_sources(
   return out;
 }
 
-// Each repeat times the merge and then its reference back to back, and the
-// gated ratio is the median of those paired ratios: the host's speed drifts
-// in phases longer than one pair, which a ratio of two independent bests
-// does not cancel.
-MergeCell best_merge_rates(int sources, const MicroOptions& o) {
-  MergeCell best;
-  std::vector<double> ratios;
-  for (int r = 0; r < o.repeats; ++r) {
-    stream::MergedStream merged(poisson_sources(sources, o.ops));
-    std::uint64_t n = 0, sink = 0;
-    double t0 = now_seconds();
-    while (auto req = merged.next()) {
-      ++n;
-      sink += req->client;
-    }
-    const double merge_rate = static_cast<double>(n) / (now_seconds() - t0);
-
-    // Reference: the same sources pulled round-robin with no ordering —
-    // the same interleaved touch of every generator's state, minus the
-    // merge itself.
-    auto alone = poisson_sources(sources, o.ops);
-    std::uint64_t m = 0;
-    t0 = now_seconds();
-    for (std::size_t live = alone.size(); live > 0;) {
-      live = 0;
-      for (auto& s : alone) {
-        if (!s) continue;
-        if (auto req = s->next()) {
-          ++m;
-          sink += req->lba;
-          ++live;
-        } else {
-          s.reset();
+// MergedStream ingest vs the same sources pulled unmerged, paired per
+// repeat (the subject is the merge, the reference the sources alone).
+PairedRates merge_cell(int sources, const MicroOptions& o) {
+  return paired_rates(
+      o.repeats,
+      [&] {
+        stream::MergedStream merged(poisson_sources(sources, o.ops));
+        std::uint64_t n = 0, sink = 0;
+        const double t0 = now_seconds();
+        while (auto req = merged.next()) {
+          ++n;
+          sink += req->client;
         }
-      }
-    }
-    const double source_rate = static_cast<double>(m) / (now_seconds() - t0);
-    g_sink = g_sink ^ sink;
-
-    best.merge_req_per_sec = std::max(best.merge_req_per_sec, merge_rate);
-    best.source_req_per_sec = std::max(best.source_req_per_sec, source_rate);
-    ratios.push_back(merge_rate / source_rate);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  best.ratio = ratios[ratios.size() / 2];
-  return best;
+        const double rate = static_cast<double>(n) / (now_seconds() - t0);
+        g_sink = g_sink ^ sink;
+        return rate;
+      },
+      [&] {
+        // The same sources pulled round-robin with no ordering — the same
+        // interleaved touch of every generator's state, minus the merge.
+        auto alone = poisson_sources(sources, o.ops);
+        std::uint64_t m = 0, sink = 0;
+        const double t0 = now_seconds();
+        for (std::size_t live = alone.size(); live > 0;) {
+          live = 0;
+          for (auto& s : alone) {
+            if (!s) continue;
+            if (auto req = s->next()) {
+              ++m;
+              sink += req->lba;
+              ++live;
+            } else {
+              s.reset();
+            }
+          }
+        }
+        const double rate = static_cast<double>(m) / (now_seconds() - t0);
+        g_sink = g_sink ^ sink;
+        return rate;
+      });
 }
 
-void json_fq_cell(std::FILE* f, int flows, const FqCell& c, bool last) {
+void json_fq_cell(std::FILE* f, int flows, const PairedRates& c, bool last) {
   std::fprintf(f,
                "    \"flows_%d\": {\"heap_ops_per_sec\": %.0f, "
                "\"scan_ops_per_sec\": %.0f, \"speedup\": %.2f}%s\n",
-               flows, c.heap_ops_per_sec, c.scan_ops_per_sec, c.speedup(),
+               flows, c.subject_per_sec, c.reference_per_sec, c.ratio,
                last ? "" : ",");
 }
 
@@ -350,8 +371,9 @@ void json_sparse_cell(std::FILE* f, int flows, const SparseCell& c,
                "\"ref_ops_per_sec\": %.0f, \"ref\": \"dense\", "
                "\"prod_mem_bytes\": %zu, \"ref_mem_bytes\": %zu, "
                "\"speedup\": %.2f}%s\n",
-               flows, c.prod_ops_per_sec, c.ref_ops_per_sec, c.prod_mem_bytes,
-               c.ref_mem_bytes, c.speedup(), last ? "" : ",");
+               flows, c.rates.subject_per_sec, c.rates.reference_per_sec,
+               c.prod_mem_bytes, c.ref_mem_bytes, c.rates.ratio,
+               last ? "" : ",");
 }
 
 // Hard contracts checked in-process: a violated footprint bound means the
@@ -389,25 +411,20 @@ int main(int argc, char** argv) {
   for (int fi = 0; fi < 3; ++fi) {
     const int flows = kFlowCounts[fi];
     const std::vector<double> weights(static_cast<std::size_t>(flows), 1.0);
-    rows[0].cells[fi].heap_ops_per_sec = best_fq_rate(
-        [&](int) { return SfqScheduler(weights); }, flows, options);
-    rows[0].cells[fi].scan_ops_per_sec = best_fq_rate(
+    rows[0].cells[fi] = fq_cell(
+        [&](int) { return SfqScheduler(weights); },
         [&](int) { return scanref::ScanSfqScheduler(weights); }, flows,
         options);
-    rows[1].cells[fi].heap_ops_per_sec = best_fq_rate(
-        [&](int) { return WfqScheduler(weights); }, flows, options);
-    rows[1].cells[fi].scan_ops_per_sec = best_fq_rate(
+    rows[1].cells[fi] = fq_cell(
+        [&](int) { return WfqScheduler(weights); },
         [&](int) { return scanref::ScanWfqScheduler(weights); }, flows,
         options);
-    rows[2].cells[fi].heap_ops_per_sec = best_fq_rate(
-        [&](int) { return Wf2qPlusScheduler(weights); }, flows, options);
-    rows[2].cells[fi].scan_ops_per_sec = best_fq_rate(
+    rows[2].cells[fi] = fq_cell(
+        [&](int) { return Wf2qPlusScheduler(weights); },
         [&](int) { return scanref::ScanWf2qPlusScheduler(weights); }, flows,
         options);
-    rows[3].cells[fi].heap_ops_per_sec = best_fq_rate(
-        [&](int f) { return PClockScheduler(uniform_slas(f)); }, flows,
-        options);
-    rows[3].cells[fi].scan_ops_per_sec = best_fq_rate(
+    rows[3].cells[fi] = fq_cell(
+        [&](int f) { return PClockScheduler(uniform_slas(f)); },
         [&](int f) { return scanref::ScanPClockScheduler(uniform_slas(f)); },
         flows, options);
   }
@@ -416,41 +433,33 @@ int main(int argc, char** argv) {
       {"sfq", {}}, {"wfq", {}}, {"wf2q", {}}, {"pclock", {}}};
   for (int ci = 0; ci < 3; ++ci) {
     const int cells = kSparseCells[ci];
-    sparse[0].cells[ci].prod_ops_per_sec = best_sparse_rate(
-        [](int n) { return SfqScheduler::uniform(n, 1.0); }, cells, options,
-        &sparse[0].cells[ci].prod_mem_bytes);
-    sparse[0].cells[ci].ref_ops_per_sec = best_sparse_rate(
+    sparse[0].cells[ci] = sparse_cell(
+        [](int n) { return SfqScheduler::uniform(n, 1.0); },
         [](int n) {
           return denseref::DenseSfqScheduler(
               std::vector<double>(static_cast<std::size_t>(n), 1.0));
         },
-        cells, options, &sparse[0].cells[ci].ref_mem_bytes);
-    sparse[1].cells[ci].prod_ops_per_sec = best_sparse_rate(
-        [](int n) { return WfqScheduler::uniform(n, 1.0); }, cells, options,
-        &sparse[1].cells[ci].prod_mem_bytes);
-    sparse[1].cells[ci].ref_ops_per_sec = best_sparse_rate(
+        cells, options);
+    sparse[1].cells[ci] = sparse_cell(
+        [](int n) { return WfqScheduler::uniform(n, 1.0); },
         [](int n) {
           return denseref::DenseWfqScheduler(
               std::vector<double>(static_cast<std::size_t>(n), 1.0));
         },
-        cells, options, &sparse[1].cells[ci].ref_mem_bytes);
-    sparse[2].cells[ci].prod_ops_per_sec = best_sparse_rate(
-        [](int n) { return Wf2qPlusScheduler::uniform(n, 1.0); }, cells,
-        options, &sparse[2].cells[ci].prod_mem_bytes);
-    sparse[2].cells[ci].ref_ops_per_sec = best_sparse_rate(
+        cells, options);
+    sparse[2].cells[ci] = sparse_cell(
+        [](int n) { return Wf2qPlusScheduler::uniform(n, 1.0); },
         [](int n) {
           return denseref::DenseWf2qPlusScheduler(
               std::vector<double>(static_cast<std::size_t>(n), 1.0));
         },
-        cells, options, &sparse[2].cells[ci].ref_mem_bytes);
+        cells, options);
     // kAuto picks the timer wheel at every sparse cell count (all >= the
     // 4096 threshold) — the shipped selection, not a pinned override.
-    sparse[3].cells[ci].prod_ops_per_sec = best_sparse_rate(
-        [](int n) { return PClockScheduler::uniform(n, PClockSla{}); }, cells,
-        options, &sparse[3].cells[ci].prod_mem_bytes);
-    sparse[3].cells[ci].ref_ops_per_sec = best_sparse_rate(
+    sparse[3].cells[ci] = sparse_cell(
+        [](int n) { return PClockScheduler::uniform(n, PClockSla{}); },
         [](int n) { return denseref::DensePClockScheduler(uniform_slas(n)); },
-        cells, options, &sparse[3].cells[ci].ref_mem_bytes);
+        cells, options);
   }
 
   const double fcfs_events = best_sim_events_per_sec(options, [] {
@@ -466,18 +475,18 @@ int main(int argc, char** argv) {
         g_sink ^ simulate(sim_trace(), split, servers).completions.size();
   });
 
-  MergeCell merge[3];
+  PairedRates merge[3];
   for (int mi = 0; mi < 3; ++mi)
-    merge[mi] = best_merge_rates(kMergeSources[mi], options);
+    merge[mi] = merge_cell(kMergeSources[mi], options);
 
   // Human-readable table on stdout.
   std::printf("%-8s %8s %14s %14s %8s\n", "backend", "flows", "heap ops/s",
               "scan ops/s", "speedup");
   for (const FqRow& row : rows) {
     for (int fi = 0; fi < 3; ++fi) {
-      const FqCell& c = row.cells[fi];
+      const PairedRates& c = row.cells[fi];
       std::printf("%-8s %8d %14.0f %14.0f %7.2fx\n", row.name, kFlowCounts[fi],
-                  c.heap_ops_per_sec, c.scan_ops_per_sec, c.speedup());
+                  c.subject_per_sec, c.reference_per_sec, c.ratio);
     }
   }
   std::printf("\n%-8s %8s %14s %14s %8s %10s %10s\n", "backend", "flows",
@@ -486,8 +495,8 @@ int main(int argc, char** argv) {
     for (int ci = 0; ci < 3; ++ci) {
       const SparseCell& c = row.cells[ci];
       std::printf("%-8s %8d %14.0f %14.0f %7.2fx %10.1f %10.1f\n", row.name,
-                  kSparseCells[ci], c.prod_ops_per_sec, c.ref_ops_per_sec,
-                  c.speedup(),
+                  kSparseCells[ci], c.rates.subject_per_sec,
+                  c.rates.reference_per_sec, c.rates.ratio,
                   static_cast<double>(c.prod_mem_bytes) / (1024.0 * 1024.0),
                   static_cast<double>(c.ref_mem_bytes) / (1024.0 * 1024.0));
     }
@@ -498,7 +507,7 @@ int main(int argc, char** argv) {
               "source req/s", "ratio");
   for (int mi = 0; mi < 3; ++mi)
     std::printf("%-8d %14.0f %14.0f %7.2fx\n", kMergeSources[mi],
-                merge[mi].merge_req_per_sec, merge[mi].source_req_per_sec,
+                merge[mi].subject_per_sec, merge[mi].reference_per_sec,
                 merge[mi].ratio);
 
   if (!check_memory_contracts(sparse)) return 1;
@@ -533,8 +542,8 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "    \"sources_%d\": {\"merge_req_per_sec\": %.0f, "
                  "\"source_req_per_sec\": %.0f, \"ratio\": %.3f}%s\n",
-                 kMergeSources[mi], merge[mi].merge_req_per_sec,
-                 merge[mi].source_req_per_sec, merge[mi].ratio,
+                 kMergeSources[mi], merge[mi].subject_per_sec,
+                 merge[mi].reference_per_sec, merge[mi].ratio,
                  mi == 2 ? "" : ",");
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");

@@ -5,8 +5,9 @@ Four modes, selected by --online / --chaos / --stream:
 
 Default (BENCH_micro.json, bench/micro_algorithms): the gated quantity is
 each backend's *speedup* — heap ops/sec divided by the frozen scan
-reference's ops/sec, both measured in the same process moments apart —
-because that ratio cancels the raw speed of the machine running the job.
+reference's ops/sec, timed back to back in the same process, the median
+over repeats of those paired ratios — because that ratio cancels the raw
+speed of the machine running the job.
 Absolute ops/sec against a baseline recorded on different hardware would
 gate the runner, not the code.  Two checks per (backend, flows) cell:
 

@@ -5,10 +5,8 @@
 
 namespace qos {
 
-ShardedEventSink::ShardedEventSink(EventSink* downstream, bool overlap_drain)
-    : downstream_(downstream), overlap_drain_(overlap_drain) {
-  if (overlap_drain_) drain_ = std::thread([this] { drain_loop(); });
-}
+ShardedEventSink::ShardedEventSink(EventSink* downstream)
+    : downstream_(downstream), drain_([this] { drain_loop(); }) {}
 
 ShardedEventSink::~ShardedEventSink() { finish(); }
 
@@ -23,8 +21,7 @@ EventSink* ShardedEventSink::lane(std::uint32_t key) {
   return it->get();
 }
 
-void ShardedEventSink::merge_and_forward(
-    const std::vector<const std::vector<Event>*>& bufs) {
+void ShardedEventSink::merge_and_forward(const Window& window) {
   // Ties across lanes are impossible — a seq belongs to exactly one lane —
   // so the inter-lane merge order is forced by the comparator alone, and
   // stability only matters within a lane, where the insertion invariant
@@ -38,11 +35,9 @@ void ShardedEventSink::merge_and_forward(
   // lane-ascending.
   std::vector<Cursor>& cursors = cursor_scratch_;
   cursors.clear();
-  cursors.reserve(bufs.size());
-  for (const std::vector<Event>* buf : bufs) {
-    if (!buf->empty())
-      cursors.push_back({buf->data(), buf->data() + buf->size()});
-  }
+  cursors.reserve(window.size());
+  for (const std::vector<Event>& buf : window)
+    cursors.push_back({buf.data(), buf.data() + buf.size()});
   if (cursors.size() > kMaxLinearMergeLanes) {
     // Many lanes: the cursor scan would cost O(lanes) per event; fall back
     // to concatenate + stable sort (O(log n) per event, lane-count free).
@@ -98,21 +93,10 @@ void ShardedEventSink::merge_and_forward(
 }
 
 void ShardedEventSink::flush() {
-  if (!overlap_drain_) {
-    // Inline drain: merge directly out of the lane buffers (zero-copy) on
-    // the calling thread, then reset them.
-    view_scratch_.clear();
-    for (auto& l : lanes_)
-      if (!l->buffer().empty()) view_scratch_.push_back(&l->buffer());
-    merge_and_forward(view_scratch_);
-    for (auto& l : lanes_) l->buffer().clear();
-    return;
-  }
-
-  // Overlap drain: seal this window by moving the non-empty lane buffers
-  // out (recycling vectors from the freelist so steady state allocates
-  // nothing) and hand it to the drain thread.  Blocks while a previous
-  // window is still queued — that bound is the memory contract.
+  // Seal this window by moving the non-empty lane buffers out (recycling
+  // vectors from the freelist so steady state allocates nothing) and hand
+  // it to the drain thread.  Blocks while a previous window is still
+  // queued — that bound is the memory contract.
   Window window;
   window.reserve(lanes_.size());
   {
@@ -146,9 +130,7 @@ void ShardedEventSink::drain_loop() {
       draining_ = true;
       cv_.notify_all();  // the producer may queue the next window
     }
-    view_scratch_.clear();
-    for (const auto& buf : window) view_scratch_.push_back(&buf);
-    merge_and_forward(view_scratch_);  // exclusive: only this thread merges
+    merge_and_forward(window);  // exclusive: only this thread merges
     {
       std::lock_guard<std::mutex> lk(mu_);
       draining_ = false;
@@ -162,7 +144,7 @@ void ShardedEventSink::drain_loop() {
 }
 
 void ShardedEventSink::finish() {
-  if (!overlap_drain_ || finished_) return;
+  if (finished_) return;
   finished_ = true;
   {
     std::unique_lock<std::mutex> lk(mu_);

@@ -34,17 +34,17 @@
 //
 // Drain overlap: merging, digesting and the downstream consumer chain
 // (Tracer, stream writer) are inherently serial — a globally ordered stream
-// has one consumer.  Run inline at the barrier they serialize against the
-// simulation (Amdahl); with overlap_drain the flush instead *hands the
-// sealed window off* to one internal drain thread and returns, so the next
-// window's parallel advance proceeds while the previous window drains.  The
+// has one consumer.  Run inline at the barrier they would serialize against
+// the simulation (Amdahl), so the flush instead *hands the sealed window
+// off* to one internal drain thread and returns, and the next window's
+// parallel advance proceeds while the previous window drains.  The
 // handoff queue is bounded at one pending window (flush blocks when the
 // drain falls behind), so memory stays bounded at ~two windows and
-// backpressure is graceful.  Stream content and order are unchanged —
-// windows drain FIFO on a single thread — only wall-clock overlap differs.
-// Downstream consumers are then driven from the drain thread during the
-// run; finish() joins it, after which forwarded()/digest() and the
-// consumers are safe to read from the caller again.
+// backpressure is graceful.  Windows drain FIFO on a single thread, so the
+// stream's content and order depend only on the lanes' input.  Downstream
+// consumers are driven from the drain thread during the run; finish() joins
+// it, after which forwarded()/digest() and the consumers are safe to read
+// from the caller again.
 //
 // Memory: one barrier window of events per lane, twice (one filling, one
 // draining), plus the merge scratch — bounded by burst density times the
@@ -127,11 +127,11 @@ class ShardedEventSink {
  public:
   /// Events are forwarded to `downstream` at flush; borrowed, must outlive
   /// this sink.  A null downstream still buffers and merges (flush simply
-  /// discards), so counters stay meaningful in dry runs.  With
-  /// `overlap_drain` the merge + downstream chain runs on one internal
-  /// drain thread, overlapped with the simulation between flushes (see file
-  /// comment); `downstream` is then driven from that thread until finish().
-  explicit ShardedEventSink(EventSink* downstream, bool overlap_drain = false);
+  /// discards), so counters stay meaningful in dry runs.  The merge +
+  /// downstream chain runs on one internal drain thread, overlapped with
+  /// the simulation between flushes (see file comment); `downstream` is
+  /// driven from that thread until finish().
+  explicit ShardedEventSink(EventSink* downstream);
   ~ShardedEventSink();
 
   ShardedEventSink(const ShardedEventSink&) = delete;
@@ -143,28 +143,26 @@ class ShardedEventSink {
   /// advancing, e.g. at lane creation.
   EventSink* lane(std::uint32_t key);
 
-  /// Merge every lane's buffered events canonically and forward them
-  /// downstream (inline, or via the drain thread with overlap_drain), then
-  /// leave the lane buffers empty.  Coordinator-thread only, after the
-  /// barrier: no lane may be mid-advance.
+  /// Hand every lane's buffered events to the drain thread, which merges
+  /// them canonically and forwards them downstream, and leave the lane
+  /// buffers empty.  Coordinator-thread only, after the barrier: no lane may
+  /// be mid-advance.
   void flush();
 
-  /// Drain every handed-off window and stop the drain thread (no-op without
-  /// overlap_drain or if already finished).  After finish(), forwarded(),
+  /// Drain every handed-off window and stop the drain thread (no-op if
+  /// already finished).  After finish(), forwarded(),
   /// digest() and the downstream consumers are safe to read.  The
   /// destructor calls it, but callers that read results while the sink is
   /// still alive must call it first.
   void finish();
 
-  /// Events forwarded downstream so far.  With overlap_drain, stable only
-  /// after finish().
+  /// Events forwarded downstream; stable only after finish().
   std::uint64_t forwarded() const { return forwarded_; }
 
   /// Digest of the canonical stream forwarded so far — equal across runs iff
   /// the merged streams were identical.  Folded inline during the merge, so
   /// reading it is free; also maintained when downstream is null, so a dry
-  /// run can still certify stream identity.  With overlap_drain, stable
-  /// only after finish().
+  /// run can still certify stream identity.  Stable only after finish().
   const EventStreamDigest& digest() const { return digest_; }
 
   /// Events currently buffered across all lanes (i.e. since last flush).
@@ -180,8 +178,8 @@ class ShardedEventSink {
     /// virtual clock never rewinds, so the new event almost always belongs
     /// at the end (one comparison, plain append); same-instant emissions
     /// bubble back a step or two.  Distributing the sort over insertions —
-    /// on the worker thread that owns the lane — leaves the coordinator's
-    /// flush a pure merge of presorted runs, with no per-window sort pass.
+    /// on the worker thread that owns the lane — leaves the drain thread a
+    /// pure merge of presorted runs, with no per-window sort pass.
     void on_event(const Event& e) override {
       buffer_.push_back(e);
       for (std::size_t m = buffer_.size() - 1;
@@ -211,25 +209,22 @@ class ShardedEventSink {
   /// order, each canonically sorted.
   using Window = std::vector<std::vector<Event>>;
 
-  /// Merge the sorted runs in `bufs` and forward downstream, updating
-  /// forwarded_/digest_.  Runs on the coordinator (inline mode) or the
-  /// drain thread (overlap mode) — never both concurrently.
-  void merge_and_forward(const std::vector<const std::vector<Event>*>& bufs);
+  /// Merge the sorted runs of `window` and forward downstream, updating
+  /// forwarded_/digest_.  Runs on the drain thread only.
+  void merge_and_forward(const Window& window);
   void drain_loop();
 
   EventSink* downstream_;
   std::vector<std::unique_ptr<LaneSink>> lanes_;  ///< ascending by key
-  std::vector<const std::vector<Event>*> view_scratch_;  ///< merge inputs
   std::vector<Cursor> cursor_scratch_;            ///< reused across flushes
   std::vector<Event> merge_scratch_;              ///< many-lane fallback only
   EventStreamDigest digest_;
   std::uint64_t forwarded_ = 0;
 
-  // Overlap-drain state.  queue_ is bounded at one pending window; a second
-  // flush blocks until the drain catches up (bounded memory, graceful
+  // Drain state.  queue_ is bounded at one pending window; a second flush
+  // blocks until the drain catches up (bounded memory, graceful
   // backpressure).  Lane buffers recycle through freelist_ so steady state
   // allocates nothing.
-  const bool overlap_drain_;
   bool finished_ = false;
   std::mutex mu_;
   std::condition_variable cv_;
@@ -237,7 +232,7 @@ class ShardedEventSink {
   bool draining_ = false;  ///< drain thread is merging a popped window
   bool stop_ = false;
   std::vector<std::vector<Event>> freelist_;
-  std::thread drain_;
+  std::thread drain_;  ///< declared last: started after all it reads
 };
 
 }  // namespace qos

@@ -6,6 +6,8 @@
 //   * on_arrival is called in non-decreasing arrival order;
 //   * next_for(s, now) is called only when server s is idle;
 //   * on_complete is called when a dispatched request finishes service.
+// Each arrival is dispatched, and so completes, exactly once: the simulator
+// checks one completion per request when the run drains.
 // Completions at time t are processed before arrivals at the same t (service
 // completed "by" t frees its queue slot for a simultaneous arrival).
 #pragma once
@@ -38,9 +40,11 @@ class Scheduler {
   /// Split, which uses a dedicated overflow server).
   virtual int server_count() const = 0;
 
-  /// True when one arrival can produce multiple dispatches (e.g. RAID
-  /// mirror/parity fan-out).  Relaxes the simulator's one-completion-per-
-  /// request invariant; SimResult::by_seq() is unavailable for such runs.
+  /// No scheduler fans out (dispatches one arrival more than once), and the
+  /// engine requires false: it checks one completion per request.  Kept
+  /// only because perfbench's TimedScheduler overrides it; the declaration
+  /// goes in the change that next edits TimedScheduler, together with
+  /// on_arrival returning its admission decision.
   virtual bool fans_out() const { return false; }
 
   /// True when an arrival at `now` would classify into the primary class

@@ -12,23 +12,13 @@ std::vector<CompletionRecord> SimResult::by_seq() const {
   std::vector<bool> seen(completions.size(), false);
   for (const auto& c : completions) {
     QOS_CHECK(c.seq < out.size());
-    // A duplicate seq means the run fanned out (one arrival, multiple
-    // completions) — such results have holes too, since |completions| >
-    // |trace|.  Use by_seq_multi() for fan-out schedulers.
+    // Each request completes exactly once; a duplicate seq is a broken
+    // result (hand-built or corrupted), never a legitimate run.
     QOS_CHECK(!seen[c.seq]);
     seen[c.seq] = true;
     out[c.seq] = c;
   }
   // size() slots, unique in-range seqs => every slot filled (pigeonhole).
-  return out;
-}
-
-std::vector<std::vector<CompletionRecord>> SimResult::by_seq_multi() const {
-  std::uint64_t max_seq = 0;
-  for (const auto& c : completions) max_seq = std::max(max_seq, c.seq);
-  std::vector<std::vector<CompletionRecord>> out(
-      completions.empty() ? 0 : max_seq + 1);
-  for (const auto& c : completions) out[c.seq].push_back(c);
   return out;
 }
 
@@ -52,10 +42,7 @@ SimResult simulate(const Trace& trace, Scheduler& scheduler,
     result.completions.push_back(record);
   });
 
-  if (scheduler.fans_out())
-    QOS_ENSURES(result.completions.size() >= trace.size());
-  else
-    QOS_ENSURES(result.completions.size() == trace.size());
+  QOS_ENSURES(result.completions.size() == trace.size());
   return result;
 }
 

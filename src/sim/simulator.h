@@ -25,17 +25,10 @@ struct SimResult {
   std::vector<CompletionRecord> completions;  ///< in finish order
 
   /// Completions indexed by request seq (same size as the input trace).
-  /// Requires exactly one completion per seq: duplicate or out-of-range
-  /// seqs — the signature of a fan-out run (Scheduler::fans_out()) — are
-  /// invariant violations, not silently aliased.  Fan-out callers use
-  /// by_seq_multi().
+  /// Every request completes exactly once, so each seq in [0, size) has
+  /// one record; a duplicate or out-of-range seq is an invariant
+  /// violation, not silently aliased.
   std::vector<CompletionRecord> by_seq() const;
-
-  /// All completions grouped by request seq (inner vectors in finish
-  /// order), sized max-seen-seq + 1.  Safe for fan-out schedulers where
-  /// one arrival yields several completions; non-fan-out runs get
-  /// singleton groups.
-  std::vector<std::vector<CompletionRecord>> by_seq_multi() const;
 
   /// Latest finish instant (0 for empty results).
   Time makespan() const;
@@ -44,8 +37,9 @@ struct SimResult {
 /// Run `trace` through `scheduler`, with `servers[i]` backing scheduler
 /// server index i.  `servers.size()` must equal scheduler.server_count().
 /// Every request the scheduler eventually dispatches is recorded; the
-/// scheduler must not drop requests (overflow goes to Q2, not away), and the
-/// simulator checks that all requests complete.
+/// scheduler must not drop requests (overflow goes to Q2, not away) nor
+/// dispatch one twice: the simulator checks that every request completes
+/// exactly once.
 ///
 /// When `sink` is non-null the engine emits kArrival / kDispatch /
 /// kCompletion events to it, and forwards the sink to every server via

@@ -45,8 +45,7 @@ ShardedStats simulate_sharded(
   // exactly one worker per window and only touched by the coordinator
   // between windows, so no event crosses threads unsynchronized.
   std::optional<ShardedEventSink> event_merge;
-  if (options.sink != nullptr)
-    event_merge.emplace(options.sink, options.overlap_drain);
+  if (options.sink != nullptr) event_merge.emplace(options.sink);
 
   auto lane_for = [&](std::uint32_t tenant) -> Lane& {
     // Tenant ids are whatever Request::client carries (an SPC ASU is a

@@ -71,26 +71,21 @@ struct ShardedOptions {
   /// arrivals; results are identical for any value.
   Time lookahead = 10'000;
 
-  /// Observability (both optional, borrowed, coordinator-thread consumers).
-  /// When `sink` is non-null every lane gets a private buffered sink
-  /// (obs/sharded_sink.h); at each barrier the coordinator merges the lane
-  /// buffers canonically — (time, seq, server), the completion merge's
-  /// order — and forwards one stream here, byte-identical at any shard
-  /// count.  When `registry` is non-null every lane records into a private
+  /// Observability (both optional, borrowed).  When `sink` is non-null
+  /// every lane gets a private buffered sink (obs/sharded_sink.h); each
+  /// barrier window's lane buffers are merged canonically — (time, seq,
+  /// server), the completion merge's order — and forwarded as one stream
+  /// here, byte-identical at any shard count.  When `registry` is non-null every lane records into a private
   /// MetricRegistry, fanned in tenant-ascending after the run
   /// (MetricRegistry::fan_in), so snapshots are also shard-independent.
+  ///
+  /// The event drain (canonical merge + `sink` consumer chain) overlaps the
+  /// next window's parallel advance on an internal drain thread, bounded at
+  /// one pending window so memory stays two windows deep.  `sink` is driven
+  /// from that thread while the run is in flight; it is never called
+  /// concurrently, and the run joins the thread before returning.
   EventSink* sink = nullptr;
   MetricRegistry* registry = nullptr;
-
-  /// Overlap the event drain (canonical merge + `sink` consumer chain) with
-  /// the next window's parallel advance on an internal drain thread —
-  /// bounded at one pending window, so memory stays two windows deep (see
-  /// obs/sharded_sink.h).  The stream `sink` observes is byte-identical
-  /// either way; with overlap it is driven from that internal thread while
-  /// the run is in flight (it is never called concurrently, and the run's
-  /// end joins the thread before returning).  Disable to drive `sink`
-  /// strictly from the coordinator between barriers.
-  bool overlap_drain = true;
 };
 
 struct ShardedStats {

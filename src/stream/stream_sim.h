@@ -60,10 +60,7 @@ StreamStats simulate_stream(RequestStream& requests, Scheduler& scheduler,
   stats.requests = engine.arrivals_delivered();
   stats.dispatches = engine.dispatches();
   stats.completions = engine.completions();
-  if (scheduler.fans_out())
-    QOS_ENSURES(stats.completions >= stats.requests);
-  else
-    QOS_ENSURES(stats.completions == stats.requests);
+  QOS_ENSURES(stats.completions == stats.requests);
   return stats;
 }
 

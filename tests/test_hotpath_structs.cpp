@@ -258,7 +258,9 @@ TEST(MonotoneMinQueue, DifferentialAgainstMultiset) {
       ms.erase(ms.find(v));
     }
     ASSERT_EQ(m.empty(), ms.empty());
-    if (!ms.empty()) ASSERT_EQ(m.min(), *ms.begin());
+    if (!ms.empty()) {
+      ASSERT_EQ(m.min(), *ms.begin());
+    }
   }
 }
 

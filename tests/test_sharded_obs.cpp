@@ -1,10 +1,10 @@
 // Sharded observability determinism: the event stream a downstream sink
 // observes, the assembled trace, and the fanned-in metric snapshot must all
-// be bit-identical across shard counts, lookaheads and drain modes — a
-// sharded run is indistinguishable from the 1-shard reference to every
-// consumer.  Plus unit coverage for ShardedEventSink itself: the lane
-// insertion invariant, the cursor merge and its many-lane fallback, the
-// stream digest, and the overlap-drain handoff.
+// be bit-identical across shard counts and lookaheads — a sharded run is
+// indistinguishable from the 1-shard reference to every consumer.  Plus
+// unit coverage for ShardedEventSink itself: the lane insertion invariant,
+// the cursor merge and its many-lane fallback, the stream digest, and the
+// drain-thread handoff.
 #include "obs/sharded_sink.h"
 
 #include <gtest/gtest.h>
@@ -81,14 +81,13 @@ struct ObservedRun {
 
 // Returned through a unique_ptr so the sink/registry addresses handed to
 // ShardedOptions stay stable no matter how the result travels.
-std::unique_ptr<ObservedRun> run_observed(int shards, Time lookahead = 10'000,
-                                          bool overlap = true) {
+std::unique_ptr<ObservedRun> run_observed(int shards,
+                                          Time lookahead = 10'000) {
   auto run = std::make_unique<ObservedRun>();
   auto s = tenant_stream();
   ShardedOptions options;
   options.shards = shards;
   options.lookahead = lookahead;
-  options.overlap_drain = overlap;
   options.sink = &run->events;
   options.registry = &run->registry;
   run->stats = simulate_sharded(*s, build_tenant, options,
@@ -167,14 +166,6 @@ TEST(ShardObs, EventStreamIdenticalAcrossLookaheads) {
     expect_same_events(got->events.events(), ref->events.events());
     EXPECT_EQ(got->stats.event_digest, ref->stats.event_digest);
   }
-}
-
-TEST(ShardObs, EventStreamIdenticalAcrossDrainModes) {
-  auto inline_drain = run_observed(4, 10'000, /*overlap=*/false);
-  auto overlapped = run_observed(4, 10'000, /*overlap=*/true);
-  expect_same_events(overlapped->events.events(),
-                     inline_drain->events.events());
-  EXPECT_EQ(overlapped->stats.event_digest, inline_drain->stats.event_digest);
 }
 
 TEST(ShardObs, DigestMatchesRecordedStream) {
@@ -264,6 +255,7 @@ TEST(ShardedSink, LaneInsertionKeepsCanonicalOrder) {
   EXPECT_EQ(sink.buffered(), 4u);
   sink.flush();
   EXPECT_EQ(sink.buffered(), 0u);
+  sink.finish();
   const auto& got = downstream.events();
   ASSERT_EQ(got.size(), 4u);
   EXPECT_EQ(got[0].seq, 3u);
@@ -290,6 +282,7 @@ TEST(ShardedSink, CursorMergeMatchesReferenceSort) {
   for (const Event& e : all)
     sink.lane(e.server)->on_event(e);  // lane key == server here
   sink.flush();
+  sink.finish();
   expect_same_events(downstream.events(), reference_merge(all));
   EXPECT_EQ(sink.forwarded(), all.size());
 }
@@ -315,6 +308,7 @@ TEST(ShardedSink, ManyLaneFallbackMatchesCursorMerge) {
   for (std::uint32_t k = 0; k < 12; ++k)
     for (const Event& e : per_lane[k]) sink.lane(k)->on_event(e);
   sink.flush();
+  sink.finish();
   expect_same_events(downstream.events(), expected);
 }
 
@@ -329,6 +323,8 @@ TEST(ShardedSink, NullDownstreamStillCountsAndDigests) {
   }
   counted.flush();
   recorded.flush();
+  counted.finish();
+  recorded.finish();
   EXPECT_EQ(counted.forwarded(), 10u);
   EXPECT_EQ(counted.digest(), recorded.digest());
 }
@@ -345,35 +341,9 @@ TEST(ShardedSink, DigestIsOrderSensitive) {
   EXPECT_FALSE(forward == EventStreamDigest{});
 }
 
-TEST(ShardedSink, OverlapDrainMatchesInlineAcrossManyWindows) {
-  RecordingSink inline_sink, overlap_sink;
-  ShardedEventSink inline_merge(&inline_sink, /*overlap_drain=*/false);
-  ShardedEventSink overlap_merge(&overlap_sink, /*overlap_drain=*/true);
-  std::uint64_t seq = 0;
-  for (int window = 0; window < 25; ++window) {
-    for (std::uint32_t lane = 0; lane < 3; ++lane) {
-      // Lane 2 stays empty on odd windows — empty lanes must be harmless.
-      if (lane == 2 && window % 2 == 1) continue;
-      for (int k = 0; k < 5; ++k) {
-        const Event e = make_event(static_cast<Time>(window * 100 + k * 7),
-                                   seq++, static_cast<std::uint8_t>(lane));
-        inline_merge.lane(lane)->on_event(e);
-        overlap_merge.lane(lane)->on_event(e);
-      }
-    }
-    inline_merge.flush();
-    overlap_merge.flush();
-  }
-  inline_merge.finish();  // no-op in inline mode
-  overlap_merge.finish();
-  expect_same_events(overlap_sink.events(), inline_sink.events());
-  EXPECT_EQ(overlap_merge.digest(), inline_merge.digest());
-  EXPECT_EQ(overlap_merge.forwarded(), inline_merge.forwarded());
-}
-
 TEST(ShardedSink, FinishIsIdempotentAndEmptyFlushIsFine) {
   RecordingSink downstream;
-  ShardedEventSink sink(&downstream, /*overlap_drain=*/true);
+  ShardedEventSink sink(&downstream);
   sink.flush();  // nothing buffered
   sink.lane(7)->on_event(make_event(1, 1, 7));
   sink.flush();

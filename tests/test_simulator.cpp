@@ -124,32 +124,32 @@ TEST(SimResultBySeq, OutOfRangeSeqAborts) {
   EXPECT_DEATH((void)r.by_seq(), "Invariant failed");
 }
 
-TEST(SimResultBySeqMulti, GroupsFanOutBySeqInFinishOrder) {
-  SimResult r;
-  r.completions = {rec(1, 10), rec(0, 20), rec(1, 30), rec(1, 40)};
-  const auto groups = r.by_seq_multi();
-  ASSERT_EQ(groups.size(), 2u);
-  ASSERT_EQ(groups[0].size(), 1u);
-  EXPECT_EQ(groups[0][0].finish, 20);
-  ASSERT_EQ(groups[1].size(), 3u);
-  EXPECT_EQ(groups[1][0].finish, 10);
-  EXPECT_EQ(groups[1][1].finish, 30);
-  EXPECT_EQ(groups[1][2].finish, 40);
-}
+// Hands every arrival to next_for twice: one arrival, two completions.
+class DoubleDispatchScheduler final : public Scheduler {
+ public:
+  int server_count() const override { return 1; }
+  void on_arrival(const Request& r, Time) override {
+    queue_.push_back(r);
+    queue_.push_back(r);
+  }
+  std::optional<Dispatch> next_for(int, Time) override {
+    if (queue_.empty()) return std::nullopt;
+    Dispatch d{.request = queue_.front()};
+    queue_.erase(queue_.begin());
+    return d;
+  }
 
-TEST(SimResultBySeqMulti, SeqWithNoCompletionYieldsEmptyGroup) {
-  SimResult r;
-  r.completions = {rec(2, 10)};
-  const auto groups = r.by_seq_multi();
-  ASSERT_EQ(groups.size(), 3u);
-  EXPECT_TRUE(groups[0].empty());
-  EXPECT_TRUE(groups[1].empty());
-  EXPECT_EQ(groups[2].size(), 1u);
-}
+ private:
+  std::vector<Request> queue_;
+};
 
-TEST(SimResultBySeqMulti, EmptyResult) {
-  SimResult r;
-  EXPECT_TRUE(r.by_seq_multi().empty());
+TEST(Simulator, SecondCompletionOfARequestAborts) {
+  Trace t = make_trace({0, 1'000});
+  DoubleDispatchScheduler twice;
+  ConstantRateServer server(100);
+  EXPECT_DEATH((void)simulate(t, twice, server),
+               "Postcondition failed: "
+               "result\\.completions\\.size\\(\\) == trace\\.size\\(\\)");
 }
 
 TEST(Simulator, WorkConservationAtFullLoad) {

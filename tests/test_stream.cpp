@@ -274,10 +274,42 @@ TEST(StreamSim, StatsCountEngineEvents) {
       *s, fcfs, servers, nullptr,
       [&seen](const CompletionRecord&) { ++seen; });
   EXPECT_EQ(stats.completions, seen);
-  EXPECT_EQ(stats.requests, stats.completions);  // FCFS never fans out
+  EXPECT_EQ(stats.requests, stats.completions);  // one completion per request
   EXPECT_EQ(stats.events(), stats.requests + stats.dispatches +
                                 stats.completions);
   EXPECT_GT(stats.makespan, 0);
+}
+
+// Hands every arrival to next_for twice: one arrival, two completions.
+class DoubleDispatchScheduler final : public Scheduler {
+ public:
+  int server_count() const override { return 1; }
+  void on_arrival(const Request& r, Time) override {
+    queue_.push_back(r);
+    queue_.push_back(r);
+  }
+  std::optional<Dispatch> next_for(int, Time) override {
+    if (queue_.empty()) return std::nullopt;
+    Dispatch d{.request = queue_.front()};
+    queue_.erase(queue_.begin());
+    return d;
+  }
+
+ private:
+  std::vector<Request> queue_;
+};
+
+TEST(StreamSim, SecondCompletionOfARequestAborts) {
+  DoubleDispatchScheduler twice;
+  ConstantRateServer server(100);
+  Server* servers[] = {&server};
+  EXPECT_DEATH(
+      {
+        auto s = stream::make_poisson_stream(20, kShortRun, 3);
+        (void)stream::simulate_stream(*s, twice, servers, nullptr,
+                                      [](const CompletionRecord&) {});
+      },
+      "Postcondition failed: stats\\.completions == stats\\.requests");
 }
 
 // ---- SPC streaming ----
